@@ -59,6 +59,8 @@ class GWState:
                 f"coefficient table must have shape ({self.n}, {self.d - 1}), got {c.shape}"
             )
         norm = float(np.linalg.norm(c))
+        if not math.isfinite(norm):
+            raise ValueError(f"coefficient norm {norm} is not finite")
         if abs(norm - 1.0) > _STATE_NORM_TOL:
             raise ValueError(f"coefficients are not normalised: |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "coeffs", _readonly(c))
@@ -106,6 +108,8 @@ class PureStateVector:
         if a.size != math.prod(dims):
             raise ValueError(f"amplitude count {a.size} does not match dims {dims}")
         norm = float(np.linalg.norm(a))
+        if not math.isfinite(norm):
+            raise ValueError(f"vector norm {norm} is not finite")
         if abs(norm - 1.0) > _STATE_NORM_TOL:
             raise ValueError(f"vector is not normalised: |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "dims", dims)
@@ -129,6 +133,8 @@ class DensityMatrix:
         dim = math.prod(dims)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries are not all finite")
         if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
@@ -203,6 +209,8 @@ def make_gw_state(
     if c.shape != (n, d - 1):
         raise ValueError(f"expected coefficient shape ({n}, {d - 1}), got {c.shape}")
     norm = float(np.linalg.norm(c))
+    if not math.isfinite(norm):
+        raise ValueError(f"coefficient norm {norm} is not finite")
     if norm == 0.0:
         raise ValueError("coefficient table is the zero vector; not a state")
     if abs(norm - 1.0) > NORM_WINDOW and not renormalize:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -40,17 +40,17 @@ _RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class UEParams:
-    """Entropy parameters ``q > 0`` and ``s >= 0`` plus derived regime flags."""
+    """Finite entropy parameters ``q > 0`` and ``s >= 0`` plus derived regime flags."""
 
     q: float
     s: float
 
     def __post_init__(self) -> None:
         q, s = float(self.q), float(self.s)
-        if not q > 0.0:
-            raise ValueError(f"q must be positive, got {q}")
-        if s < 0.0:
-            raise ValueError(f"s must be non-negative, got {s}")
+        if not (math.isfinite(q) and q > 0.0):
+            raise ValueError(f"q must be positive and finite, got {q}")
+        if not (math.isfinite(s) and s >= 0.0):
+            raise ValueError(f"s must be non-negative and finite, got {s}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
 
@@ -207,30 +207,115 @@ def ue_gw_reduced(concurrence: float, params: UEParams) -> float:
     return f_qs(concurrence, params)
 
 
-def _isometry_from_angles(angles: np.ndarray, m: int, r: int) -> np.ndarray:
-    """m x r isometry from Givens angles plus relative source-column phases."""
-    rows: list[list[complex]] = [[0j] * r for _ in range(m)]
+def _isometries(angles: np.ndarray, m: int, r: int) -> np.ndarray:
+    """(batch, m, r) isometries from rows of Givens angles plus relative column phases.
+
+    Each row holds, for every pair ``i < j`` in order, a rotation angle and a
+    phase, followed by ``r - 1`` phases applied to columns ``1..r-1``.
+    """
+    n_rot = m * (m - 1)
+    cos = np.cos(angles[:, 0:n_rot:2])
+    sin_phase = np.sin(angles[:, 0:n_rot:2]) * np.exp(1j * angles[:, 1:n_rot:2])
+    rows = [np.zeros((angles.shape[0], r), dtype=np.complex128) for _ in range(m)]
     for k in range(r):
-        rows[k][k] = 1.0 + 0j
-    idx = 0
+        rows[k][:, k] = 1.0
+    k = 0
     for i in range(m - 1):
         for j in range(i + 1, m):
-            c = math.cos(angles[idx])
-            sv = math.sin(angles[idx])
-            phase = complex(math.cos(angles[idx + 1]), math.sin(angles[idx + 1]))
-            idx += 2
-            row_i = rows[i]
-            row_j = rows[j]
-            for k in range(r):
-                a, b = row_i[k], row_j[k]
-                row_i[k] = c * a + phase * sv * b
-                row_j[k] = -phase.conjugate() * sv * a + c * b
-    for k in range(1, r):
-        phase = complex(math.cos(angles[idx]), math.sin(angles[idx]))
-        idx += 1
-        for i in range(m):
-            rows[i][k] *= phase
-    return np.array(rows, dtype=np.complex128)
+            c, sp = cos[:, k, None], sin_phase[:, k, None]
+            rows[i], rows[j] = c * rows[i] + sp * rows[j], c * rows[j] - sp.conj() * rows[i]
+            k += 1
+    iso = np.stack(rows, axis=1)
+    iso[:, :, 1:] *= np.exp(1j * angles[:, None, n_rot:])
+    return iso
+
+
+def _decomposition_values(
+    angles: np.ndarray, source: np.ndarray, m: int, params: UEParams
+) -> np.ndarray:
+    """Average member entanglement of the decomposition for each row of ``angles``.
+
+    ``source`` is the ``(r, 4)`` stack of weighted eigenvectors written as
+    flattened 2x2 matrices on the effective support, so each member's
+    Schmidt spectrum follows from its weight and determinant.
+    """
+    members = _isometries(angles, m, source.shape[0]) @ source  # (batch, m, 4), unnormalised
+    weights = np.sum(members.real**2 + members.imag**2, axis=2)
+    dets = members[..., 0] * members[..., 3] - members[..., 1] * members[..., 2]
+    gap = np.sqrt(np.clip(weights**2 - 4.0 * (dets.real**2 + dets.imag**2), 0.0, None))
+    live = weights > 1e-14
+    w = np.where(live, weights, 1.0)
+    lams = np.stack(((w + gap) / (2.0 * w), (w - gap) / (2.0 * w)), axis=-1)
+    values = _entropy_rows(lams.reshape(-1, 2), params).reshape(weights.shape)
+    return np.sum(np.where(live, weights * values, 0.0), axis=1)
+
+
+_FD_STEP = 1e-5  # central-difference step on the angles
+_ARMIJO = 1e-4  # fraction of the predicted decrease a step must realise
+_BACKTRACK = 0.5  # step shrink factor when a step falls short
+_GAIN_TOL = 1e-12  # an iteration lowering the value by no more than this ends the restart
+
+
+def _bfgs_lockstep(
+    values_and_gradients: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    step_tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, bool]:
+    """Minimise from every row of ``x`` at once with BFGS and Armijo backtracking.
+
+    ``values_and_gradients`` maps a ``(batch, n)`` array of points to their
+    values and gradients; each call covers every restart that still has a
+    step to try.  A restart stops once its step, after backtracking, is at
+    most ``step_tol`` in every coordinate, or once an accepted step gains no
+    more than ``_GAIN_TOL``.  ``x`` is updated in place; returns the final
+    values and whether every restart stopped within ``max_iter`` iterations.
+    """
+    f, g = values_and_gradients(x)
+    inv_hess = np.tile(np.eye(x.shape[1]), (len(x), 1, 1))
+    active = np.arange(len(x))
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        direction = -np.einsum("aij,aj->ai", inv_hess[active], g[active])
+        slope = np.einsum("ai,ai->a", g[active], direction)
+        uphill = slope >= 0.0  # stale curvature estimate: restart from steepest descent
+        inv_hess[active[uphill]] = np.eye(x.shape[1])
+        direction[uphill] = -g[active[uphill]]
+        slope[uphill] = -np.einsum("ai,ai->a", direction[uphill], direction[uphill])
+
+        scale = np.ones(len(active))
+        keep = np.zeros(len(active), dtype=bool)
+        trying = np.arange(len(active))
+        while True:
+            step = scale[trying, None] * direction[trying]
+            big = np.max(np.abs(step), axis=1) > step_tol
+            trying, step = trying[big], step[big]
+            if not trying.size:
+                break
+            idx = active[trying]
+            f_new, g_new = values_and_gradients(x[idx] + step)
+            # strict decrease too: near the minimum the Armijo margin rounds away
+            ok = (f_new <= f[idx] + _ARMIJO * scale[trying] * slope[trying]) & (f_new < f[idx])
+            done, s, y = idx[ok], step[ok], g_new[ok] - g[idx[ok]]
+            sy = np.einsum("ai,ai->a", s, y)
+            # BFGS update of the inverse Hessian where the curvature condition holds
+            curved = sy > 1e-8 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
+            s, y, sy = s[curved], y[curved], sy[curved]
+            hy = np.einsum("aij,aj->ai", inv_hess[done[curved]], y)
+            ss = s[:, :, None] * s[:, None, :]
+            hys = hy[:, :, None] * s[:, None, :]
+            inv_hess[done[curved]] += (
+                ((sy + np.einsum("ai,ai->a", y, hy)) / sy**2)[:, None, None] * ss
+                - (hys + hys.transpose(0, 2, 1)) / sy[:, None, None]
+            )
+            keep[trying[ok]] = f[done] - f_new[ok] > _GAIN_TOL
+            x[done] += step[ok]
+            f[done], g[done] = f_new[ok], g_new[ok]
+            trying = trying[~ok]
+            scale[trying] *= _BACKTRACK
+        active = active[keep]
+    return f, not active.size
 
 
 def convex_roof_ue_rank2(
@@ -247,12 +332,25 @@ def convex_roof_ue_rank2(
 
     Searches over pure-state decompositions of a rank-<=-2 two-subsystem
     density matrix with up to ``decomposition_size`` elements, parametrised
-    by Givens angles acting on the eigenvector weights.  Multi-start
-    coordinate descent; pass ``rng`` (seed or generator) for reproducible
-    restarts.  The average entanglement of each candidate decomposition is
-    computed from reduced spectra directly, independent of the analytic
-    concurrence map this oracle is typically used to check.
+    by Givens angles acting on the eigenvector weights.  Each restart is a
+    BFGS quasi-Newton descent with Armijo backtracking on central-difference
+    gradients; all restarts advance in lockstep, so every objective
+    evaluation is one batched call over the restarts and their probe points.
+    Restart 0 starts from the eigendecomposition (all angles zero) and the
+    others from angles drawn uniformly from ``rng`` (seed or generator), so a
+    fixed seed reproduces the result.
+
+    A restart stops once the step it would take, after backtracking, is at
+    most ``step_tol`` in every angle, or once an iteration lowers its value
+    by no more than 1e-12.  ``max_sweeps`` caps the quasi-Newton iterations;
+    a ``RuntimeWarning`` is emitted if any restart is still moving there, and
+    the best value reached so far is returned.  The average entanglement of
+    each candidate decomposition is computed from reduced spectra directly,
+    independent of the analytic concurrence map this oracle is typically
+    used to check.
     """
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
     if len(rho.dims) != 2:
         raise ValueError(f"need a two-subsystem state, got dims {rho.dims}")
     d1, d2 = rho.dims
@@ -265,100 +363,44 @@ def convex_roof_ue_rank2(
         raise ValueError(f"state rank {rank} exceeds 2 (third eigenvalue {evals[2]:.3e})")
     r = max(rank, 1)
 
-    support_mats = vecs[:, :r].T.reshape(r, d1, d2)
-    if r == 2:
-        # every decomposition state must stay inside a 2x2 effective support
-        col_rank = np.linalg.svd(np.hstack(support_mats), compute_uv=False)
-        row_rank = np.linalg.svd(np.vstack(support_mats), compute_uv=False)
-        if (col_rank[2:] > _RANK_TOL).any() or (row_rank[2:] > _RANK_TOL).any():
-            raise ValueError("effective support is not 2x2")
-
-    source = vecs[:, :r] * np.sqrt(evals[:r])[None, :]  # D x r
-
+    source = (vecs[:, :r] * np.sqrt(evals[:r])[None, :]).T.reshape(r, d1, d2)
     if r == 1:
-        lam = _schmidt_pair(source[:, 0], d1, d2)
-        return float(_entropy_rows(lam[None, :], params)[0])
+        spectrum = np.linalg.svd(source[0], compute_uv=False) ** 2
+        return float(_entropy_rows(spectrum / np.sum(spectrum), params)[0])
+
+    # every decomposition state must stay inside a 2x2 effective support;
+    # rewriting the source in that support's local bases keeps every
+    # member's Schmidt spectrum and reduces it to a 2x2 determinant
+    left, col_sv, _ = np.linalg.svd(np.hstack(source))
+    _, row_sv, right = np.linalg.svd(np.vstack(source))
+    if (col_sv[2:] > _RANK_TOL).any() or (row_sv[2:] > _RANK_TOL).any():
+        raise ValueError("effective support is not 2x2")
+    compact = np.zeros((r, 2, 2), dtype=np.complex128)
+    compact[:, : min(d1, 2), : min(d2, 2)] = left[:, :2].conj().T @ source @ right[:2].conj().T
+    compact = compact.reshape(r, 4)
 
     m = int(decomposition_size)
     if m < r:
         raise ValueError(f"decomposition size {m} below state rank {r}")
 
-    two_by_two = d1 == 2 and d2 == 2
+    n_angles = m * (m - 1) + (r - 1)
+    probes = _FD_STEP * np.vstack((np.zeros(n_angles), np.eye(n_angles), -np.eye(n_angles)))
 
-    def objective(angles: np.ndarray) -> float:
-        iso = _isometry_from_angles(angles, m, r)
-        mats = (iso @ source.T).reshape(m, d1, d2)  # unnormalised members
-        conj = mats.conj()
-        weights = np.einsum("ikl,ikl->i", conj, mats).real
-        if two_by_two:
-            dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-            gap_sq = weights**2 - 4.0 * (dets.real**2 + dets.imag**2)
-        else:
-            gram = np.einsum("ikl,ikm->ilm", conj, mats)
-            tr2 = np.einsum("ilm,ilm->i", gram.conj(), gram).real
-            gap_sq = 2.0 * tr2 - weights**2
-        gap = np.sqrt(np.clip(gap_sq, 0.0, None))
-        live = weights > 1e-14
-        w = np.where(live, weights, 1.0)
-        lams = np.column_stack(((weights + gap) / (2.0 * w), (weights - gap) / (2.0 * w)))
-        values = _entropy_rows(lams, params)
-        return float(np.sum(np.where(live, weights * values, 0.0)))
+    def values_and_gradients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        points = (x[:, None, :] + probes).reshape(-1, n_angles)
+        vals = _decomposition_values(points, compact, m, params).reshape(len(x), -1)
+        grads = (vals[:, 1 : n_angles + 1] - vals[:, n_angles + 1 :]) / (2.0 * _FD_STEP)
+        return vals[:, 0], grads
 
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    n_angles = m * (m - 1) + (r - 1)
-    best = math.inf
-    hit_cap = False
-    for restart in range(restarts):
-        angles = (
-            np.zeros(n_angles)
-            if restart == 0
-            else gen.uniform(0.0, 2.0 * math.pi, size=n_angles)
-        )
-        value = objective(angles)
-        step = 0.5
-        sweeps = 0
-        while step > step_tol:
-            sweeps += 1
-            if sweeps > max_sweeps:
-                hit_cap = True
-                break
-            before = value
-            for j in range(n_angles):
-                base = angles[j]
-                for delta in (step, -step):
-                    angles[j] = base + delta
-                    candidate = objective(angles)
-                    if candidate < value - 1e-16:
-                        value = candidate
-                        base = angles[j]
-                        # ride the improving direction to cut down on sweeps
-                        for _ in range(24):
-                            angles[j] = base + delta
-                            candidate = objective(angles)
-                            if candidate >= value - 1e-16:
-                                angles[j] = base
-                                break
-                            value = candidate
-                            base = angles[j]
-                        break
-                    angles[j] = base
-            if before - value < 1e-12:  # sweep gained essentially nothing
-                step *= 0.25
-        best = min(best, value)
-    if hit_cap:
+    starts = np.vstack(
+        (np.zeros(n_angles), gen.uniform(0.0, 2.0 * math.pi, size=(restarts - 1, n_angles)))
+    )
+    values, converged = _bfgs_lockstep(values_and_gradients, starts, step_tol, max_sweeps)
+    if not converged:
         warnings.warn(
             "decomposition search hit the sweep cap before reaching step tolerance",
             RuntimeWarning,
             stacklevel=2,
         )
-    return best
-
-
-def _schmidt_pair(state: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Top-two Schmidt weights of an unnormalised bipartite vector."""
-    mat = state.reshape(d1, d2)
-    weight = float(np.sum(np.abs(mat) ** 2))
-    gram = mat.conj().T @ mat
-    tr2 = float(np.sum(np.abs(gram) ** 2))
-    gap = math.sqrt(max(2.0 * tr2 - weight**2, 0.0))
-    return np.array([(weight + gap) / (2.0 * weight), (weight - gap) / (2.0 * weight)])
+    return float(np.min(values))

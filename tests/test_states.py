@@ -35,6 +35,16 @@ def test_make_gw_state_norm_window():
     assert np.linalg.norm(st.coeffs) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_make_gw_state_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        gm.make_gw_state(3, 2, [bad, 0.5, 0.5])
+    with pytest.raises(ValueError, match="not finite"):
+        gm.make_gw_state(3, 2, [bad, 0.5, 0.5], renormalize=True)
+    with pytest.raises(ValueError, match="not finite"):
+        gm.GWState(3, 2, np.array([[bad], [0.5], [0.5]]))
+
+
 def test_make_gw_state_shape_and_bounds():
     with pytest.raises(ValueError):
         gm.make_gw_state(1, 2, [1.0])
@@ -169,6 +179,21 @@ def test_partition_validation():
     assert part.r == 3 and part.covered_sites() == (1, 2, 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pure_state_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        gm.PureStateVector((2, 2), [bad, 0, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_matrix_rejects_non_finite(bad):
+    for i, j in ((0, 0), (0, 1)):
+        m = np.eye(4, dtype=complex) / 4
+        m[i, j] = m[j, i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gm.DensityMatrix((2, 2), m)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         gm.DensityMatrix((2,), np.array([[0.5, 1.0], [0.0, 0.5]]))
@@ -201,3 +226,13 @@ def test_state_json_malformed():
         gm.load_state_json({"n": 2, "d": 2})
     with pytest.raises(ValueError, match="entries"):
         gm.load_state_json({"n": 3, "d": 2, "coeffs": [[1.0, 0.0]]})
+
+
+def test_state_json_rejects_non_finite(tmp_path):
+    # json.loads accepts the bare NaN and Infinity tokens
+    path = tmp_path / "state.json"
+    path.write_text('{"n": 3, "d": 2, "coeffs": [[NaN, 0.0], [0.5, 0.0], [0.5, 0.0]]}')
+    with pytest.raises(ValueError, match="not finite"):
+        gm.load_state_json(path)
+    with pytest.raises(ValueError, match="not finite"):
+        gm.load_state_json({"n": 2, "d": 2, "coeffs": [[1.0, math.inf], [0.0, 0.0]]})

@@ -29,6 +29,14 @@ def test_params_validation_and_regimes():
     assert not UEParams(3.5, 1.0).satisfies_basic_bounds  # qs > 3
 
 
+@pytest.mark.parametrize(
+    "q, s", [(math.inf, 0.5), (math.nan, 0.5), (2.0, math.nan), (2.0, math.inf)]
+)
+def test_params_reject_non_finite(q, s):
+    with pytest.raises(ValueError, match="finite"):
+        UEParams(q, s)
+
+
 def test_f_anchor_values():
     assert gm.f_qs(math.sqrt(2) / 2, P21) == pytest.approx(0.25, abs=1e-12)
     assert gm.f_qs(0.0, P21) == 0.0
@@ -189,6 +197,13 @@ def test_roof_pure_input(example1_vec):
     assert gm.convex_roof_ue_rank2(bell, P21, rng=0) == pytest.approx(0.5, abs=1e-10)
 
 
+def test_roof_pure_input_beyond_schmidt_rank_two():
+    # a pure input is its own decomposition, whatever its Schmidt rank
+    psi = gm.PureStateVector((3, 3), np.eye(3).ravel() / math.sqrt(3))
+    rho = gm.DensityMatrix((3, 3), np.outer(psi.amps, psi.amps.conj()))
+    assert gm.convex_roof_ue_rank2(rho, P21, rng=0) == pytest.approx(2 / 3, abs=1e-12)
+
+
 def test_roof_classical_mixture():
     m = np.zeros((4, 4))
     m[0, 0] = 0.3
@@ -228,4 +243,59 @@ def test_roof_matches_analytic_map_spot():
         params = UEParams(2.0, 0.6)
         c = gm.gw_block_concurrence_oracle(vec, (sites[0],), (sites[1],))
         roof = gm.convex_roof_ue_rank2(rho, params, rng=int(rng.integers(0, 2**31)))
+        assert roof == pytest.approx(gm.f_qs(c, params), abs=1e-4)
+
+
+def test_roof_rejects_no_restarts(example1_vec):
+    rho = gm.reduce(example1_vec, (1, 2))
+    with pytest.raises(ValueError, match="restart"):
+        gm.convex_roof_ue_rank2(rho, P21, restarts=0)
+
+
+def test_roof_warns_at_sweep_cap(example1_vec):
+    rho = gm.reduce(example1_vec, (1, 2))
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        roof = gm.convex_roof_ue_rank2(rho, P21, rng=4, max_sweeps=1)
+    assert math.isfinite(roof)
+
+
+def test_roof_same_seed_same_value(example1_vec):
+    rho = gm.reduce(example1_vec, (2, 4))
+    params = UEParams(1.2, 0.4)
+    first = gm.convex_roof_ue_rank2(rho, params, rng=5)
+    assert gm.convex_roof_ue_rank2(rho, params, rng=5) == first
+    gen_a, gen_b = np.random.default_rng(6), np.random.default_rng(6)
+    assert gm.convex_roof_ue_rank2(rho, params, rng=gen_a) == gm.convex_roof_ue_rank2(
+        rho, params, rng=gen_b
+    )
+
+
+def test_roof_never_uses_analytic_map(example1_vec, monkeypatch):
+    # the roof checks the map, so the search must not consult it
+    rho = gm.reduce(example1_vec, (1, 3))
+    expected = gm.f_qs(2 * math.sqrt(0.5) * 0.4, P21)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the roof search called the analytic map")
+
+    monkeypatch.setattr(gm.unified, "f_qs", forbidden)
+    monkeypatch.setattr(gm.unified, "g_qs", forbidden)
+    assert gm.convex_roof_ue_rank2(rho, P21, rng=7) == pytest.approx(expected, abs=1e-4)
+
+
+def test_roof_matches_analytic_map_qubit_and_qutrit():
+    # criterion 07's (q, s) grid at both local dimensions, on a seed of its own
+    grid = [(1.2, 0.4), (2.0, 1.0), (2.0, 0.6), (3.0, 0.9), (1.0, 0.5), (2.5, 0.25)]
+    rng = np.random.default_rng(8128)
+    for i in range(12):
+        d = 2 + i % 2
+        n = int(rng.integers(3, 7))
+        table = rng.standard_normal((n, d - 1)) + 1j * rng.standard_normal((n, d - 1))
+        vec = gm.to_state_vector(gm.make_gw_state(n, d, table / np.linalg.norm(table)))
+        sites = sorted(int(s) for s in rng.choice(np.arange(1, n + 1), 2, replace=False))
+        params = UEParams(*grid[(i // 2) % len(grid)])
+        c = gm.gw_block_concurrence_oracle(vec, (sites[0],), (sites[1],))
+        roof = gm.convex_roof_ue_rank2(
+            gm.reduce(vec, sites), params, rng=int(rng.integers(0, 2**31))
+        )
         assert roof == pytest.approx(gm.f_qs(c, params), abs=1e-4)
