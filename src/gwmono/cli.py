@@ -7,7 +7,11 @@ series and the worked four-qubit example), ``pre`` (residual grids) and
 
 Exit codes: 0 success, 2 invalid input, 3 hypothesis refusal (a stated
 precondition of the requested inequality does not hold), 4 genuine violation
-(hypotheses met, margin negative beyond tolerance).
+(hypotheses met, margin negative beyond tolerance).  ``check --random N``
+evaluates every instance: a refused checker call writes no row, the exit
+code is 4 if any call violated, else 3 if any was refused, else 0, and one
+JSON summary line (held, refused, violated, worst margin and the index of
+the worst instance) goes to stderr.
 
 Outputs are deterministic: rerunning with the same flags and ``--seed``
 produces byte-identical files.  Reference tables are written with six
@@ -23,7 +27,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -159,10 +163,33 @@ def _resolve_state(args):
     raise ValueError("no state source: pass --preset or --state")
 
 
-def _grid_table_csv(q_values, col_labels, rows, fmt) -> str:
-    header = ["q"] + list(col_labels)
-    body = [[fmt(q)] + [fmt(v) for v in row] for q, row in zip(q_values, rows)]
-    return _csv_text(header, body)
+def _emit_grid(args, q_values, labels, rows, fmt, **extra) -> None:
+    """A (q, column) grid: JSON ``{columns, rows: [{q, values}], **extra}`` or CSV."""
+    if args.format == "json":
+        payload = {
+            "columns": labels,
+            "rows": [
+                {"q": float(q), "values": [float(v) for v in row]}
+                for q, row in zip(q_values, rows)
+            ],
+            **extra,
+        }
+        _emit(_json_text(payload), args.out)
+    else:
+        body = [[fmt(q)] + [fmt(v) for v in row] for q, row in zip(q_values, rows)]
+        _emit(_csv_text(["q"] + labels, body), args.out)
+
+
+def _emit_records(args, header: Sequence[str], records: Sequence[dict]) -> None:
+    """Flat records: a JSON list, or CSV columns ``header`` with numbers at full precision."""
+    if args.format == "json":
+        _emit(_json_text(records), args.out)
+    else:
+        body = [
+            [rec[k] if isinstance(rec[k], str) else _fmt_full(rec[k]) for k in header]
+            for rec in records
+        ]
+        _emit(_csv_text(header, body), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,39 +227,21 @@ def _cmd_measure(args) -> int:
         for params in params_grid:
             rows.append(("cut", f"1..{m}|{m + 1}..{n}", params, c))
 
-    if args.format == "json":
-        payload = [
-            {
-                "kind": kind,
-                "label": label,
-                "q": params.q,
-                "s": params.s,
-                "concurrence": c,
-                "concurrence_sq": c * c,
-                "ue": ue_gw_reduced(c, params),
-            }
-            for kind, label, params, c in rows
-        ]
-        _emit(_json_text(payload), args.out)
-    else:
-        body = [
-            [
-                kind,
-                label,
-                _fmt_full(params.q),
-                _fmt_full(params.s),
-                _fmt_full(c),
-                _fmt_full(c * c),
-                _fmt_full(ue_gw_reduced(c, params)),
-            ]
-            for kind, label, params, c in rows
-        ]
-        _emit(
-            _csv_text(
-                ["kind", "label", "q", "s", "concurrence", "concurrence_sq", "ue"], body
-            ),
-            args.out,
-        )
+    records = [
+        {
+            "kind": kind,
+            "label": label,
+            "q": params.q,
+            "s": params.s,
+            "concurrence": c,
+            "concurrence_sq": c * c,
+            "ue": ue_gw_reduced(c, params),
+        }
+        for kind, label, params, c in rows
+    ]
+    _emit_records(
+        args, ["kind", "label", "q", "s", "concurrence", "concurrence_sq", "ue"], records
+    )
     return 0
 
 
@@ -254,86 +263,73 @@ def _random_partition(rng: np.random.Generator, n: int, min_blocks: int = 2) -> 
     return Partition(tuple(blocks))
 
 
-def _run_single_check(args, state, partition) -> list[MonogamyReport]:
-    reports = []
+def _check_grid(args, state, partition) -> tuple[Callable[..., MonogamyReport], list[tuple]]:
+    """The requested checker as one callable and its argument tuples in report order.
+
+    Inequalities with a ``(q, s)`` parameter are called as ``check(params,
+    alpha)`` over q, then s, then alpha (squared takes a single ``alpha=None``
+    pass); the beta bounds are called as ``check(s, beta)`` over s, then beta.
+    """
     q_values = _float_list(args.q)
     s_values = _float_list(args.s)
     focus = args.focus - 1
-    if args.ineq == "squared":
-        for q in q_values:
-            for s in s_values:
-                reports.append(
-                    check_squared_monogamy(
-                        state, partition, focus, UEParams(q, s), source=args.source
-                    )
-                )
-    elif args.ineq == "power":
-        for q in q_values:
-            for s in s_values:
-                for alpha in _float_list(args.alpha):
-                    reports.append(
-                        check_power_monogamy(
-                            state, partition, focus, UEParams(q, s), alpha,
-                            source=args.source,
-                        )
-                    )
-    elif args.ineq == "tightened":
-        for q in q_values:
-            for s in s_values:
-                for alpha in _float_list(args.alpha):
-                    reports.append(
-                        check_tightened(
-                            state,
-                            partition,
-                            UEParams(q, s),
-                            mu=float(args.mu),
-                            h=float(args.h),
-                            p=float(args.p_factor),
-                            alpha=alpha,
-                            source=args.source,
-                        )
-                    )
-    elif args.ineq == "chained":
-        steps = partition.r - 2
-        mus = _float_list(args.mu)
-        hs = _float_list(args.h)
-        ps = _float_list(args.p_factor)
-        # a scalar applies to every chaining step
-        mus = mus * steps if len(mus) == 1 else mus
-        hs = hs * steps if len(hs) == 1 else hs
-        ps = ps * steps if len(ps) == 1 else ps
-        for q in q_values:
-            for s in s_values:
-                for alpha in _float_list(args.alpha):
-                    reports.append(
-                        check_chained(
-                            state,
-                            partition,
-                            UEParams(q, s),
-                            k=args.k,
-                            mus=mus,
-                            hs=hs,
-                            ps=ps,
-                            alpha=alpha,
-                            source=args.source,
-                        )
-                    )
-    elif args.ineq in ("beta-lower", "beta-upper"):
+    if args.ineq in ("beta-lower", "beta-upper"):
         checker = check_beta_lower_bound if args.ineq == "beta-lower" else check_beta_upper_bound
-        for s in s_values:
-            for beta in _float_list(args.beta):
-                reports.append(checker(state, args.site_a, args.site_b, beta, s))
+
+        def check(s, beta):
+            return checker(state, args.site_a, args.site_b, beta, s)
+
+        return check, [(s, beta) for s in s_values for beta in _float_list(args.beta)]
+
+    if args.ineq == "squared":
+        def check(params, alpha):
+            return check_squared_monogamy(state, partition, focus, params, source=args.source)
+
+    elif args.ineq == "power":
+        def check(params, alpha):
+            return check_power_monogamy(
+                state, partition, focus, params, alpha, source=args.source
+            )
+
+    elif args.ineq == "tightened":
+        mu, h, p = float(args.mu), float(args.h), float(args.p_factor)
+
+        def check(params, alpha):
+            return check_tightened(
+                state, partition, params, mu=mu, h=h, p=p, alpha=alpha, source=args.source
+            )
+
+    elif args.ineq == "chained":
+        def per_step(text: str) -> list[float]:
+            values = _float_list(text)  # a scalar applies to every chaining step
+            return values * (partition.r - 2) if len(values) == 1 else values
+
+        mus, hs, ps = per_step(args.mu), per_step(args.h), per_step(args.p_factor)
+
+        def check(params, alpha):
+            return check_chained(
+                state, partition, params, k=args.k, mus=mus, hs=hs, ps=ps, alpha=alpha,
+                source=args.source,
+            )
+
     else:
         raise ValueError(f"unknown inequality {args.ineq!r}")
-    return reports
+    alphas = [None] if args.ineq == "squared" else _float_list(args.alpha)
+    return check, [(UEParams(q, s), alpha) for q in q_values for s in s_values for alpha in alphas]
+
+
+def _violated(report: MonogamyReport) -> bool:
+    return report.hypotheses_ok and report.margin < -MARGIN_TOL
 
 
 def _cmd_check(args) -> int:
     all_reports: list[MonogamyReport] = []
+    tally = {"held": 0, "refused": 0, "violated": 0}
     if args.random:
         rng = np.random.default_rng(args.seed)
         block_floor = {"tightened": 3, "chained": 4}.get(args.ineq, 2)
-        for _ in range(args.random):
+        worst_margin, worst_instance = None, None
+        for index in range(args.random):
             state = _random_gw_state(rng, n_lo=block_floor if block_floor > 3 else 3)
             if args.ineq in ("beta-lower", "beta-upper"):
                 partition = None
@@ -342,16 +338,28 @@ def _cmd_check(args) -> int:
                 partition = _random_partition(rng, state.n, block_floor)
                 while args.ineq in ("tightened", "chained") and partition.r != block_floor:
                     partition = _random_partition(rng, state.n, block_floor)
-            all_reports.extend(_run_single_check(args, state, partition))
+            check, points = _check_grid(args, state, partition)
+            for point in points:
+                try:
+                    report = check(*point)
+                except HypothesisNotMet:
+                    tally["refused"] += 1  # a refused call writes no row
+                    continue
+                all_reports.append(report)
+                tally["violated" if _violated(report) else "held"] += 1
+                if worst_margin is None or report.margin < worst_margin:
+                    worst_margin, worst_instance = report.margin, index
+        summary = dict(tally, worst_margin=worst_margin, worst_instance=worst_instance)
+        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     else:
         state = _resolve_state(args)
-        n = state.n if isinstance(state, GWState) else state.gw.n
         partition = (
             _parse_partition(args.partition)
             if args.partition
-            else Partition.singletons(range(1, n + 1))
+            else Partition.singletons(range(1, state.n + 1))
         )
-        all_reports.extend(_run_single_check(args, state, partition))
+        check, points = _check_grid(args, state, partition)
+        all_reports.extend(check(*point) for point in points)
 
     payload = [r.to_dict() for r in all_reports]
     if args.format == "json":
@@ -379,16 +387,13 @@ def _cmd_check(args) -> int:
             args.out,
         )
 
-    violated = any(r.hypotheses_ok and r.margin < -MARGIN_TOL for r in all_reports)
-    return 4 if violated else 0
+    if any(_violated(r) for r in all_reports):
+        return 4
+    return 3 if tally["refused"] else 0
 
 
 def _fig1_rows() -> tuple[list[str], list[dict]]:
-    psi = to_state_vector(example1_state())
-    params = UEParams(2.0, 1.0)
-    u_lhs = ue_gw_reduced(gw_block_concurrence_oracle(psi, (1,), (2, 3)), params)
-    u12 = ue_gw_reduced(gw_block_concurrence_oracle(psi, (1,), (2,)), params)
-    u13 = ue_gw_reduced(gw_block_concurrence_oracle(psi, (1,), (3,)), params)
+    u_lhs, u12, u13 = (row["ue"] for row in example1_quantities())
     alphas = np.linspace(2.0, 5.0, 61)
     rows = bound_comparison_series(
         u_lhs, u12, u13, mu=4.0, h=1.0, p_values=(2.6, 1.8), gamma=2.0, alphas=alphas
@@ -399,76 +404,30 @@ def _fig1_rows() -> tuple[list[str], list[dict]]:
 
 def _cmd_reproduce(args) -> int:
     target = args.target
-    if target in ("table1", "table2", "table3"):
-        if target == "table3":
-            cols = [1, 2, 3, 4, 5]
-            rows = pairwise_residual_table(_TABLE_Q, cols, n=6, s=1.0, source=PairSource.PRINTED)
-            labels = [f"m={m}" for m in cols]
-        else:
-            b = 5 if target == "table1" else 6
-            cols = [1, 2, 3, 4]
-            rows = block_residual_table(
-                _TABLE_Q, cols, n=6, m=4, b=b, s=1.0, source=PairSource.PRINTED
-            )
-            labels = [f"a={a}" for a in cols]
-        if args.format == "json":
-            payload = {
-                "columns": labels,
-                "rows": [
-                    {"q": q, "values": [float(v) for v in row]}
-                    for q, row in zip(_TABLE_Q, rows)
-                ],
-            }
-            _emit(_json_text(payload), args.out)
-        else:
-            _emit(_grid_table_csv(_TABLE_Q, labels, rows, _fmt_table), args.out)
-        return 0
-
-    if target == "fig1":
-        header, rows = _fig1_rows()
-        if args.format == "json":
-            _emit(_json_text(rows), args.out)
-        else:
-            body = [[_fmt_full(row[key]) for key in header] for row in rows]
-            _emit(_csv_text(header, body), args.out)
-        return 0
-
-    if target in ("fig2", "fig3", "fig4"):
-        q_grid = region_q_grid(1.0, points=50)
-        if target == "fig4":
+    if target in ("table1", "table2", "table3", "fig2", "fig3", "fig4"):
+        is_table = target.startswith("table")
+        q_grid = _TABLE_Q if is_table else region_q_grid(1.0, points=50)
+        if target in ("table3", "fig4"):
             cols = [1, 2, 3, 4, 5]
             rows = pairwise_residual_table(q_grid, cols, n=6, s=1.0, source=PairSource.PRINTED)
             labels = [f"m={m}" for m in cols]
         else:
-            b = 5 if target == "fig2" else 6
+            b = 5 if target in ("table1", "fig2") else 6
             cols = [1, 2, 3, 4]
             rows = block_residual_table(
                 q_grid, cols, n=6, m=4, b=b, s=1.0, source=PairSource.PRINTED
             )
             labels = [f"a={a}" for a in cols]
-        if args.format == "json":
-            payload = {
-                "columns": labels,
-                "rows": [
-                    {"q": float(q), "values": [float(v) for v in row]}
-                    for q, row in zip(q_grid, rows)
-                ],
-            }
-            _emit(_json_text(payload), args.out)
-        else:
-            _emit(_grid_table_csv(q_grid, labels, rows, _fmt_full), args.out)
+        _emit_grid(args, q_grid, labels, rows, _fmt_table if is_table else _fmt_full)
+        return 0
+
+    if target == "fig1":
+        header, rows = _fig1_rows()
+        _emit_records(args, header, rows)
         return 0
 
     if target == "example1":
-        rows = example1_quantities()
-        if args.format == "json":
-            _emit(_json_text(rows), args.out)
-        else:
-            body = [
-                [row["label"], _fmt_full(row["concurrence"]), _fmt_full(row["ue"])]
-                for row in rows
-            ]
-            _emit(_csv_text(["label", "concurrence", "ue"], body), args.out)
+        _emit_records(args, ["label", "concurrence", "ue"], example1_quantities())
         return 0
 
     raise ValueError(f"unknown target {target!r}")
@@ -495,37 +454,15 @@ def _cmd_pre(args) -> int:
             q_values, m_values, n=args.n, s=args.s, source=source
         )
         labels = [f"m={m}" for m in m_values]
-    if args.format == "json":
-        payload = {
-            "columns": labels,
-            "source": source.value,
-            "rows": [
-                {"q": float(q), "values": [float(v) for v in row]}
-                for q, row in zip(q_values, rows)
-            ],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_grid_table_csv(q_values, labels, rows, _fmt_full), args.out)
+    _emit_grid(args, q_values, labels, rows, _fmt_full, source=source.value)
     return 0
 
 
 def _cmd_compare_sources(args) -> int:
     cut = BlockCut(n=args.n, m=args.m, a=args.a, b=args.b)
-    rows = pair_source_comparison(cut)
-    if args.format == "json":
-        _emit(_json_text(rows), args.out)
-    else:
-        body = [
-            [
-                row["pair"],
-                _fmt_full(row["printed_c_sq"]),
-                _fmt_full(row["oracle_c_sq"]),
-                _fmt_full(row["abs_diff"]),
-            ]
-            for row in rows
-        ]
-        _emit(_csv_text(["pair", "printed_c_sq", "oracle_c_sq", "abs_diff"], body), args.out)
+    _emit_records(
+        args, ["pair", "printed_c_sq", "oracle_c_sq", "abs_diff"], pair_source_comparison(cut)
+    )
     return 0
 
 

@@ -23,7 +23,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .states import DensityMatrix, Partition, PureStateVector
+from .states import (
+    DensityMatrix,
+    Partition,
+    PureStateVector,
+    _kept_by_traced,
+    _schmidt_spectrum,
+)
 
 #: Weight outside the single-excitation-plus-vacuum subspace above which a
 #: vector is rejected as not W-class.
@@ -104,12 +110,15 @@ class BlockCut:
     def block2(self) -> tuple[int, ...]:
         return tuple(range(self.m + 1, self.n + 1))
 
-    def sub_blocks(self) -> dict[str, tuple[int, ...]]:
+    def pair_blocks(self) -> dict[PairKind, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Site blocks ``(P, Q)`` of every pair kind; the site pair is sites 1 and ``m+1``."""
         return {
-            "front1": self.front1,
-            "back1": self.back1,
-            "front2": self.front2,
-            "back2": self.back2,
+            PairKind.TOP: (self.block1, self.block2),
+            PairKind.FRONT_FRONT: (self.front1, self.front2),
+            PairKind.BACK_FRONT: (self.back1, self.front2),
+            PairKind.FRONT_BACK: (self.front1, self.back2),
+            PairKind.BACK_BACK: (self.back1, self.back2),
+            PairKind.SITE_PAIR: ((1,), (self.m + 1,)),
         }
 
     def to_partition(self) -> Partition:
@@ -123,19 +132,7 @@ def concurrence_pure(psi: PureStateVector, side_a: Iterable[int]) -> float:
 
     ``side_a`` is a proper, non-empty subset of the sites (1-based).
     """
-    side = sorted({int(s) for s in side_a})
-    n = psi.n_sites
-    if not side or len(side) >= n:
-        raise ValueError("side A must be a proper non-empty subset of the sites")
-    if side[0] < 1 or side[-1] > n:
-        raise ValueError(f"sites {side} out of range 1..{n}")
-
-    keep0 = [s - 1 for s in side]
-    rest0 = [i for i in range(n) if i not in set(keep0)]
-    mat = np.transpose(psi.amps.reshape(psi.dims), keep0 + rest0).reshape(
-        math.prod(psi.dims[i] for i in keep0), -1
-    )
-    schmidt_sq = np.linalg.svd(mat, compute_uv=False) ** 2
+    schmidt_sq = _schmidt_spectrum(psi, side_a)
     return float(math.sqrt(max(0.0, 2.0 * (1.0 - float(np.sum(schmidt_sq**2))))))
 
 
@@ -251,8 +248,7 @@ def gw_block_concurrence_oracle(
         ]
     )
 
-    rest0 = [i for i in range(n) if i not in set(p0) | set(q0)]
-    mat = np.transpose(psi.amps.reshape(dims), p0 + q0 + rest0).reshape(dim_p * dim_q, -1)
+    mat = _kept_by_traced(psi, p0 + q0)
     # rows of `coords`: components of each traced-out sector inside the
     # effective basis; rho_eff = coords @ coords* is the projected reduction
     coords = basis.conj().T @ mat
@@ -280,19 +276,14 @@ def printed_pair_concurrence_sq(cut: BlockCut, pair: PairKind | str) -> float:
     is ``[sqrt(4 + (n-2)^2) - (n-2)]^2 / n^2``.
     """
     kind = PairKind(pair)
-    n, m, a, b = cut.n, cut.m, cut.a, cut.b
+    n, m = cut.n, cut.m
     if kind is PairKind.TOP:
         return 4.0 * m * (n - m) / n**2
     if kind is PairKind.SITE_PAIR:
         return (math.sqrt(4.0 + (n - 2) ** 2) - (n - 2)) ** 2 / n**2
-    sizes = {
-        PairKind.FRONT_FRONT: a * (b - m),
-        PairKind.BACK_FRONT: (m - a) * (b - m),
-        PairKind.FRONT_BACK: a * (n - b),
-        PairKind.BACK_BACK: (m - a) * (n - b),
-    }
+    block_p, block_q = cut.pair_blocks()[kind]
     z = float(n - m)
-    return (math.sqrt(z**2 + 4.0 * sizes[kind]) - z) ** 2 / n**2
+    return (math.sqrt(z**2 + 4.0 * (len(block_p) * len(block_q))) - z) ** 2 / n**2
 
 
 def oracle_pair_concurrence_sq(
@@ -315,13 +306,7 @@ def pair_decomposition_residual(
     the one-versus-rest squared concurrence decomposes exactly into the pair
     terms, so the residual is zero up to round-off.
     """
-    if not 0 <= focus < partition.r:
-        raise ValueError(f"focus index {focus} out of range for {partition.r} blocks")
-    if partition.r < 2:
-        raise ValueError("need at least two blocks")
-    focus_block = partition.blocks[focus]
-    others = [b for i, b in enumerate(partition.blocks) if i != focus]
-    rest = tuple(s for b in others for s in b)
+    focus_block, others, rest = partition.split_focus(focus)
     lhs = gw_block_concurrence_oracle(psi, focus_block, rest) ** 2
     rhs = sum(gw_block_concurrence_oracle(psi, focus_block, b) ** 2 for b in others)
     return float(lhs - rhs)
@@ -337,17 +322,8 @@ def pair_source_comparison(cut: BlockCut) -> list[dict]:
     from .states import to_state_vector, uniform_w_state
 
     psi = to_state_vector(uniform_w_state(cut.n))
-    sub = cut.sub_blocks()
-    pair_blocks = {
-        PairKind.TOP: (cut.block1, cut.block2),
-        PairKind.FRONT_FRONT: (sub["front1"], sub["front2"]),
-        PairKind.BACK_FRONT: (sub["back1"], sub["front2"]),
-        PairKind.FRONT_BACK: (sub["front1"], sub["back2"]),
-        PairKind.BACK_BACK: (sub["back1"], sub["back2"]),
-        PairKind.SITE_PAIR: ((1,), (cut.m + 1,)),
-    }
     rows = []
-    for kind, (bp, bq) in pair_blocks.items():
+    for kind, (bp, bq) in cut.pair_blocks().items():
         printed = printed_pair_concurrence_sq(cut, kind)
         oracle = oracle_pair_concurrence_sq(psi, bp, bq)
         rows.append(

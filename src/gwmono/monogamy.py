@@ -132,14 +132,7 @@ def _focus_pair_ues(
     psi: PureStateVector, partition: Partition, focus: int, params: UEParams
 ) -> tuple[float, list[float]]:
     """One-versus-rest and focus-pair unified entanglement values via the oracle."""
-    if partition.r < 2:
-        raise ValueError("need at least two blocks")
-    if not 0 <= focus < partition.r:
-        raise ValueError(f"focus index {focus} out of range for {partition.r} blocks")
-    focus_block = partition.blocks[focus]
-    others = [b for i, b in enumerate(partition.blocks) if i != focus]
-    rest = tuple(s for b in others for s in b)
-
+    focus_block, others, rest = partition.split_focus(focus)
     c_lhs = gw_block_concurrence_oracle(psi, focus_block, rest)
     u_lhs = g_qs(c_lhs**2, params)
     if partition.covered_sites() == tuple(range(1, psi.n_sites + 1)):
@@ -213,25 +206,16 @@ def check_power_monogamy(
     psi = _as_vector(state)
     u_lhs, u_pairs = _focus_pair_ues(psi, partition, focus, params)
 
-    if alpha >= 2.0:
-        lhs = u_lhs**alpha
-        rhs = float(sum(u**alpha for u in u_pairs))
-        margin = lhs - rhs
-        ineq_id = "power"
-    else:
-        if any(u <= 0.0 for u in u_pairs) or u_lhs <= 0.0:
-            raise ValueError(
-                "non-positive entanglement value under a non-positive power"
-            )
-        lhs = u_lhs**alpha
-        rhs = float(sum(u**alpha for u in u_pairs))
-        margin = rhs - lhs  # reversed, strict
-        ineq_id = "power-reversed"
+    reversed_form = alpha <= 0.0
+    if reversed_form and (any(u <= 0.0 for u in u_pairs) or u_lhs <= 0.0):
+        raise ValueError("non-positive entanglement value under a non-positive power")
+    lhs = u_lhs**alpha
+    rhs = float(sum(u**alpha for u in u_pairs))
     return MonogamyReport(
-        inequality_id=ineq_id,
+        inequality_id="power-reversed" if reversed_form else "power",
         lhs=lhs,
         rhs=rhs,
-        margin=margin,
+        margin=rhs - lhs if reversed_form else lhs - rhs,  # the reversed form is strict
         hypotheses=tuple(hypotheses),
         params=_params_echo(params, alpha=alpha, focus=focus, blocks=partition.blocks),
     )

@@ -71,35 +71,21 @@ def _require_region(params: UEParams) -> None:
         )
 
 
-def _sub_pair_csq(cut: BlockCut, source: PairSource) -> list[float]:
-    """Squared concurrences of the four sub-block pairs; empty blocks give 0."""
-    source = PairSource(source)
-    kinds = (PairKind.FRONT_FRONT, PairKind.BACK_FRONT, PairKind.FRONT_BACK, PairKind.BACK_BACK)
+_SUB_PAIRS = (PairKind.FRONT_FRONT, PairKind.BACK_FRONT, PairKind.FRONT_BACK, PairKind.BACK_BACK)
+
+
+def _uniform_w_pair_csq(
+    n: int, pairs: Sequence[tuple[BlockCut, PairKind]], source: PairSource
+) -> list[float]:
+    """Squared concurrence of each ``(cut, kind)`` pair of the ``n``-site uniform W state.
+
+    Empty blocks give 0.  The oracle source builds the dense vector once for
+    the whole list.
+    """
     if source is PairSource.PRINTED:
-        return [printed_pair_concurrence_sq(cut, kind) for kind in kinds]
-    psi = to_state_vector(uniform_w_state(cut.n))
-    sub = cut.sub_blocks()
-    pairs = (
-        (sub["front1"], sub["front2"]),
-        (sub["back1"], sub["front2"]),
-        (sub["front1"], sub["back2"]),
-        (sub["back1"], sub["back2"]),
-    )
-    return [oracle_pair_concurrence_sq(psi, bp, bq) for bp, bq in pairs]
-
-
-def _top_csq(cut: BlockCut, source: PairSource) -> float:
-    if PairSource(source) is PairSource.PRINTED:
-        return printed_pair_concurrence_sq(cut, PairKind.TOP)
-    psi = to_state_vector(uniform_w_state(cut.n))
-    return oracle_pair_concurrence_sq(psi, cut.block1, cut.block2)
-
-
-def _site_pair_csq(n: int, source: PairSource) -> float:
-    if PairSource(source) is PairSource.PRINTED:
-        return printed_pair_concurrence_sq(BlockCut(n, 1, 1, 2), PairKind.SITE_PAIR)
+        return [printed_pair_concurrence_sq(cut, kind) for cut, kind in pairs]
     psi = to_state_vector(uniform_w_state(n))
-    return oracle_pair_concurrence_sq(psi, (1,), (2,))
+    return [oracle_pair_concurrence_sq(psi, *cut.pair_blocks()[kind]) for cut, kind in pairs]
 
 
 def block_residual(
@@ -112,14 +98,13 @@ def block_residual(
     ``g^2`` of the top-cut squared concurrence minus the four sub-block pair
     terms, with the pair values taken from the requested source.
     """
-    _require_region(params)
     source = PairSource(source)
-    value = g_qs(_top_csq(cut, source), params) ** 2 - sum(
-        g_qs(csq, params) ** 2 for csq in _sub_pair_csq(cut, source)
+    [[value]] = block_residual_table(
+        [params.q], [cut.a], n=cut.n, m=cut.m, b=cut.b, s=params.s, source=source
     )
     return PREResult(
         kind="block", n=cut.n, m=cut.m, a=cut.a, b=cut.b,
-        params=params, source=source, value=float(value),
+        params=params, source=source, value=value,
     )
 
 
@@ -134,17 +119,11 @@ def pairwise_residual(
     ``g^2`` of the top-cut value minus ``m (n - m)`` copies of the site-pair
     term.
     """
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"need 1 <= m <= n-1, got m={m}, n={n}")
-    _require_region(params)
     source = PairSource(source)
-    cut = BlockCut(n=n, m=m, a=m, b=n)  # only the top split matters here
-    value = g_qs(_top_csq(cut, source), params) ** 2 - m * (n - m) * g_qs(
-        _site_pair_csq(n, source), params
-    ) ** 2
+    [[value]] = pairwise_residual_table([params.q], [m], n=n, s=params.s, source=source)
     return PREResult(
         kind="pairwise", n=n, m=m, a=None, b=None,
-        params=params, source=source, value=float(value),
+        params=params, source=source, value=value,
     )
 
 
@@ -154,22 +133,12 @@ def pairwise_residual_general(
     """Pairwise-form residual of an arbitrary W-class state through the oracle.
 
     Splits sites 1..n at ``m`` and subtracts every cross site-pair term from
-    the top-cut value explicitly.
+    the top-cut value explicitly: the ``pairwise_residual`` entry of
+    :func:`residual_chain_check` on that cut.
     """
-    _require_region(params)
     psi = _as_vector(state)
-    n = psi.n_sites
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"need 1 <= m <= n-1, got m={m}, n={n}")
-    block1 = tuple(range(1, m + 1))
-    block2 = tuple(range(m + 1, n + 1))
-    top = g_qs(oracle_pair_concurrence_sq(psi, block1, block2), params) ** 2
-    pair_sum = sum(
-        g_qs(oracle_pair_concurrence_sq(psi, (i,), (j,)), params) ** 2
-        for i in block1
-        for j in block2
-    )
-    return float(top - pair_sum)
+    cut = BlockCut(n=psi.n_sites, m=m, a=m, b=psi.n_sites)
+    return residual_chain_check(psi, cut, params).params["pairwise_residual"]
 
 
 def block_residual_table(
@@ -183,21 +152,22 @@ def block_residual_table(
     source: Union[PairSource, str] = PairSource.PRINTED,
 ) -> list[list[float]]:
     """Block residuals on a (q, a) grid; one row per ``q``, one column per ``a``."""
-    source = PairSource(source)
-    per_a = []
-    for a in a_values:
-        cut = BlockCut(n=n, m=m, a=a, b=b)
-        per_a.append((_top_csq(cut, source), _sub_pair_csq(cut, source)))
+    kinds = (PairKind.TOP,) + _SUB_PAIRS
+    cuts = [BlockCut(n=n, m=m, a=a, b=b) for a in a_values]
+    csq = _uniform_w_pair_csq(
+        n, [(cut, kind) for cut in cuts for kind in kinds], PairSource(source)
+    )
+    columns = [csq[i : i + len(kinds)] for i in range(0, len(csq), len(kinds))]
     rows = []
     for q in q_values:
         params = UEParams(q=float(q), s=float(s))
         _require_region(params)
-        row = []
-        for top, pairs in per_a:
-            row.append(
+        rows.append(
+            [
                 float(g_qs(top, params) ** 2 - sum(g_qs(c, params) ** 2 for c in pairs))
-            )
-        rows.append(row)
+                for top, *pairs in columns
+            ]
+        )
     return rows
 
 
@@ -210,11 +180,10 @@ def pairwise_residual_table(
     source: Union[PairSource, str] = PairSource.PRINTED,
 ) -> list[list[float]]:
     """Pairwise residuals on a (q, m) grid; one row per ``q``, one column per ``m``."""
-    source = PairSource(source)
-    site_csq = _site_pair_csq(n, source)
-    tops = [
-        _top_csq(BlockCut(n=n, m=m, a=m, b=n), source) for m in m_values
-    ]
+    # any site pair stands for all of them; only the top split of each cut matters
+    pairs = [(BlockCut(n=n, m=1, a=1, b=2), PairKind.SITE_PAIR)]
+    pairs += [(BlockCut(n=n, m=m, a=m, b=n), PairKind.TOP) for m in m_values]
+    site_csq, *tops = _uniform_w_pair_csq(n, pairs, PairSource(source))
     rows = []
     for q in q_values:
         params = UEParams(q=float(q), s=float(s))
@@ -251,16 +220,13 @@ def residual_chain_check(
     if psi.n_sites != cut.n:
         raise ValueError(f"cut is for {cut.n} sites but state has {psi.n_sites}")
 
-    tier1 = g_qs(oracle_pair_concurrence_sq(psi, cut.block1, cut.block2), params) ** 2
-    sub = cut.sub_blocks()
-    pairs = (
-        (sub["front1"], sub["front2"]),
-        (sub["back1"], sub["front2"]),
-        (sub["front1"], sub["back2"]),
-        (sub["back1"], sub["back2"]),
-    )
+    blocks = cut.pair_blocks()
+    tier1 = g_qs(oracle_pair_concurrence_sq(psi, *blocks[PairKind.TOP]), params) ** 2
     tier2 = float(
-        sum(g_qs(oracle_pair_concurrence_sq(psi, bp, bq), params) ** 2 for bp, bq in pairs)
+        sum(
+            g_qs(oracle_pair_concurrence_sq(psi, *blocks[kind]), params) ** 2
+            for kind in _SUB_PAIRS
+        )
     )
     tier3 = float(
         sum(

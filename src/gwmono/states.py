@@ -188,6 +188,21 @@ class Partition:
     def covered_sites(self) -> tuple[int, ...]:
         return tuple(sorted(s for block in self.blocks for s in block))
 
+    def split_focus(
+        self, focus: int
+    ) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[int, ...]]:
+        """Focus block, the other blocks in order, and the sites of the other blocks.
+
+        ``focus`` is a 0-based block index; the partition needs at least two
+        blocks.
+        """
+        if self.r < 2:
+            raise ValueError("need at least two blocks")
+        if not 0 <= focus < self.r:
+            raise ValueError(f"focus index {focus} out of range for {self.r} blocks")
+        others = [b for i, b in enumerate(self.blocks) if i != focus]
+        return self.blocks[focus], others, tuple(s for b in others for s in b)
+
 
 def make_gw_state(
     n: int,
@@ -228,6 +243,8 @@ def make_gwv_state(gw: GWState, p: float) -> GWVState:
 
 def uniform_w_state(n: int, d: int = 2) -> GWState:
     """Uniform W state: every single-excitation amplitude equal to ``1/sqrt(n(d-1))``."""
+    if n < 2 or d < 2:
+        raise ValueError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     table = np.full((n, d - 1), 1.0 / math.sqrt(n * (d - 1)), dtype=np.complex128)
     return GWState(n=n, d=d, coeffs=table)
 
@@ -271,14 +288,36 @@ def reduce(psi: PureStateVector, keep: Iterable[int]) -> DensityMatrix:
     if keep_sorted[0] < 1 or keep_sorted[-1] > n:
         raise ValueError(f"keep sites {keep_sorted} out of range 1..{n}")
 
-    keep0 = [k - 1 for k in keep_sorted]
-    rest0 = [i for i in range(n) if i not in set(keep0)]
-    tensor = psi.amps.reshape(psi.dims)
-    mat = np.transpose(tensor, keep0 + rest0).reshape(
+    mat = _kept_by_traced(psi, [k - 1 for k in keep_sorted])
+    rho = mat @ mat.conj().T
+    return DensityMatrix(dims=tuple(psi.dims[k - 1] for k in keep_sorted), entries=rho)
+
+
+def _kept_by_traced(psi: PureStateVector, keep0: Sequence[int]) -> np.ndarray:
+    """Amplitudes of ``psi`` as a (kept x traced) matrix.
+
+    ``keep0`` lists the kept sites 0-based; its order is the row order.  The
+    traced sites follow in increasing order.
+    """
+    kept = set(keep0)
+    rest0 = [i for i in range(psi.n_sites) if i not in kept]
+    return np.transpose(psi.amps.reshape(psi.dims), list(keep0) + rest0).reshape(
         math.prod(psi.dims[i] for i in keep0), -1
     )
-    rho = mat @ mat.conj().T
-    return DensityMatrix(dims=tuple(psi.dims[i] for i in keep0), entries=rho)
+
+
+def _schmidt_spectrum(psi: PureStateVector, side_a: Iterable[int]) -> np.ndarray:
+    """Squared Schmidt coefficients of ``psi`` across the cut ``side_a | rest``.
+
+    ``side_a`` is a proper, non-empty subset of the sites (1-based).
+    """
+    side = sorted({int(s) for s in side_a})
+    n = psi.n_sites
+    if not side or len(side) >= n:
+        raise ValueError("side A must be a proper non-empty subset of the sites")
+    if side[0] < 1 or side[-1] > n:
+        raise ValueError(f"sites {side} out of range 1..{n}")
+    return np.linalg.svd(_kept_by_traced(psi, [s - 1 for s in side]), compute_uv=False) ** 2
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -299,7 +338,7 @@ def load_state_json(source: Union[str, Path, dict]) -> Union[GWState, GWVState]:
     try:
         n = int(payload["n"])
         d = int(payload["d"])
-        raw = payload["coeffs"]
+        raw = list(payload["coeffs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state JSON: {exc}") from exc
     if len(raw) != n * (d - 1):

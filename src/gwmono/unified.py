@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .states import DensityMatrix, PureStateVector
+from .states import DensityMatrix, PureStateVector, _schmidt_spectrum
 
 Q_ONE_WINDOW = 1e-6
 S_ZERO_WINDOW = 1e-6
@@ -182,19 +182,7 @@ def unified_entropy_raw(rho: DensityMatrix, q: float, s: float) -> float:
 
 def ue_pure(psi: PureStateVector, side_a: Iterable[int], params: UEParams) -> float:
     """Unified entanglement of a pure state across the cut ``side_a | rest``."""
-    side = sorted({int(s) for s in side_a})
-    n = psi.n_sites
-    if not side or len(side) >= n:
-        raise ValueError("side A must be a proper non-empty subset of the sites")
-    if side[0] < 1 or side[-1] > n:
-        raise ValueError(f"sites {side} out of range 1..{n}")
-    keep0 = [s - 1 for s in side]
-    rest0 = [i for i in range(n) if i not in set(keep0)]
-    mat = np.transpose(psi.amps.reshape(psi.dims), keep0 + rest0).reshape(
-        math.prod(psi.dims[i] for i in keep0), -1
-    )
-    spectrum = np.linalg.svd(mat, compute_uv=False) ** 2
-    return float(_entropy_rows(spectrum[None, :], params)[0])
+    return float(_entropy_rows(_schmidt_spectrum(psi, side_a)[None, :], params)[0])
 
 
 def ue_gw_reduced(concurrence: float, params: UEParams) -> float:

@@ -146,16 +146,36 @@ def test_check_random_suite_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_check_random_counts_refusals_instead_of_aborting(tmp_path, capsys):
+    out = tmp_path / "tight.csv"
+    code = run(["check", "--ineq", "tightened", "--random", "50", "--out", str(out)])
+    assert code == 3  # some instances are refused, none violated
+    rows = read_csv(out)[1:]
+    assert rows
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert summary["held"] + summary["refused"] + summary["violated"] == 50
+    assert summary["held"] + summary["violated"] == len(rows)
+    assert summary["refused"] > 0
+    worst = min(float(row[7]) for row in rows)
+    assert summary["worst_margin"] == worst
+    assert 0 <= summary["worst_instance"] < 50
+
+
 def test_malformed_state_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["measure", "--state", str(bad), "--pairs"]) == 2
     bad.write_text(json.dumps({"n": 3, "d": 2, "coeffs": [[1.0, 0.0]]}))
     assert run(["measure", "--state", str(bad), "--pairs"]) == 2
+    for coeffs in (5, None):
+        bad.write_text(json.dumps({"n": 3, "d": 2, "coeffs": coeffs}))
+        assert run(["measure", "--state", str(bad), "--pairs"]) == 2
 
 
 def test_unknown_preset_is_input_error():
     assert run(["measure", "--preset", "nonsense", "--pairs"]) == 2
+    assert run(["measure", "--preset", "uniform-w", "0", "--pairs"]) == 2
+    assert run(["measure", "--preset", "uniform-w", "4", "1", "--pairs"]) == 2
 
 
 def test_printed_source_rejected_outside_residuals(tmp_path):

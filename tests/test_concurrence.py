@@ -176,6 +176,22 @@ def test_block_cut_geometry():
         BlockCut(6, 4, 1, 4)
 
 
+def test_pair_blocks_sizes_match_printed_closed_form():
+    # invert [sqrt(z^2 + 4 u v) - z]^2 / n^2 = c for the size product u v
+    sub_pairs = (PairKind.FRONT_FRONT, PairKind.BACK_FRONT, PairKind.FRONT_BACK, PairKind.BACK_BACK)
+    for n, m, a, b in ((6, 4, 1, 5), (6, 4, 2, 6), (6, 4, 4, 6), (7, 3, 2, 5), (9, 5, 3, 8)):
+        cut = BlockCut(n, m, a, b)
+        blocks = cut.pair_blocks()
+        assert blocks[PairKind.TOP] == (cut.block1, cut.block2)
+        assert blocks[PairKind.SITE_PAIR] == ((1,), (m + 1,))
+        for kind in sub_pairs:
+            block_p, block_q = blocks[kind]
+            z = n - m
+            c = gm.printed_pair_concurrence_sq(cut, kind)
+            size = ((n * math.sqrt(c) + z) ** 2 - z**2) / 4.0
+            assert size == pytest.approx(len(block_p) * len(block_q), abs=1e-9)
+
+
 def test_printed_pair_values():
     cut = BlockCut(6, 4, 1, 5)
     assert gm.printed_pair_concurrence_sq(cut, PairKind.TOP) == pytest.approx(8 / 9)

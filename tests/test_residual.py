@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gwmono as gm
+from gwmono import residual
 from gwmono.concurrence import BlockCut
 from gwmono.monogamy import HypothesisNotMet
 from gwmono.unified import UEParams
@@ -139,3 +140,33 @@ def test_preresult_serialisation():
     assert payload["source"] == "printed"
     assert payload["q"] == 2.0 and payload["s"] == 1.0
     assert payload["value"] == pytest.approx(res.value)
+
+
+def test_oracle_tables_build_the_dense_vector_once(monkeypatch):
+    built = []
+
+    def counting(state, **kwargs):
+        built.append(state.n)
+        return gm.to_state_vector(state, **kwargs)
+
+    monkeypatch.setattr(residual, "to_state_vector", counting)
+    gm.block_residual_table([2.0, 2.5], [1, 2, 3, 4], n=6, m=4, b=5, source="oracle")
+    assert built == [6]
+    built.clear()
+    gm.pairwise_residual_table([2.0, 2.5], [1, 2, 3, 4, 5], n=6, source="oracle")
+    assert built == [6]
+
+
+def test_single_residuals_equal_table_cells():
+    q_values = [1.5, 2.0, 2.7]
+    for source in ("printed", "oracle"):
+        for b in (5, 6):
+            table = gm.block_residual_table(q_values, [1, 2, 3, 4], n=6, m=4, b=b, source=source)
+            for q, row in zip(q_values, table):
+                for a, cell in zip([1, 2, 3, 4], row):
+                    res = gm.block_residual(BlockCut(6, 4, a, b), UEParams(q, 1.0), source=source)
+                    assert res.value == cell
+        table = gm.pairwise_residual_table(q_values, [1, 2, 3, 4, 5], n=6, source=source)
+        for q, row in zip(q_values, table):
+            for m, cell in zip([1, 2, 3, 4, 5], row):
+                assert gm.pairwise_residual(6, m, UEParams(q, 1.0), source=source).value == cell
