@@ -7,7 +7,9 @@ from .concurrence import (
     PairSource,
     concurrence_pure,
     gw_block_concurrence_oracle,
+    pair_concurrence,
     pair_decomposition_residual,
+    pair_matrix,
     pair_source_comparison,
     printed_pair_concurrence_sq,
     wootters_concurrence,

@@ -10,8 +10,12 @@ precondition of the requested inequality does not hold), 4 genuine violation
 (hypotheses met, margin negative beyond tolerance).  ``check --random N``
 evaluates every instance: a refused checker call writes no row, the exit
 code is 4 if any call violated, else 3 if any was refused, else 0, and one
-JSON summary line (held, refused, violated, worst margin and the index of
-the worst instance) goes to stderr.
+JSON summary line (held, refused, violated, worst margin, the index of the
+worst instance and the seed) goes to stderr.
+
+``measure`` takes its pair values from the site-weights kernel
+(``pair_concurrence``) and builds no dense vector; the checkers and the
+oracle-sourced residual tables stay on the dense pipeline.
 
 Outputs are deterministic: rerunning with the same flags and ``--seed``
 produces byte-identical files.  Reference tables are written with six
@@ -35,6 +39,7 @@ from .concurrence import (
     BlockCut,
     PairSource,
     gw_block_concurrence_oracle,
+    pair_concurrence,
     pair_source_comparison,
 )
 from .monogamy import (
@@ -66,6 +71,9 @@ from .unified import UEParams, ue_gw_reduced
 
 #: Default generator seed for randomized suites; override with ``--seed``.
 DEFAULT_SEED = 1729
+
+#: Largest site count of a ``check --random`` instance.
+RANDOM_N_MAX = 6
 
 _TABLE_Q = (2.0, 2.1, 2.2, 2.3, 2.4)
 
@@ -203,8 +211,9 @@ def _cmd_measure(args) -> int:
             "use 'gw pre --source printed' or 'gw compare-sources'"
         )
     state = _resolve_state(args)
-    psi = to_state_vector(state)
-    n = psi.n_sites
+    n = state.n
+    if args.cut is not None and not 1 <= args.cut <= n - 1:
+        raise ValueError(f"--cut must lie in 1..{n - 1}")
     params_grid = [
         UEParams(q=q, s=s) for q in _float_list(args.q) for s in _float_list(args.s)
     ]
@@ -214,16 +223,12 @@ def _cmd_measure(args) -> int:
     if want_pairs:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                c = gw_block_concurrence_oracle(psi, (i,), (j,))
+                c = pair_concurrence(state, (i,), (j,))
                 for params in params_grid:
                     rows.append(("pair", f"{i}-{j}", params, c))
     if args.cut is not None:
-        m = int(args.cut)
-        if not 1 <= m <= n - 1:
-            raise ValueError(f"--cut must lie in 1..{n - 1}")
-        block1 = tuple(range(1, m + 1))
-        block2 = tuple(range(m + 1, n + 1))
-        c = gw_block_concurrence_oracle(psi, block1, block2)
+        m = args.cut
+        c = pair_concurrence(state, range(1, m + 1), range(m + 1, n + 1))
         for params in params_grid:
             rows.append(("cut", f"1..{m}|{m + 1}..{n}", params, c))
 
@@ -246,7 +251,7 @@ def _cmd_measure(args) -> int:
 
 
 def _random_gw_state(rng: np.random.Generator, n_lo: int = 3) -> GWState:
-    n = int(rng.integers(n_lo, 7))
+    n = int(rng.integers(n_lo, RANDOM_N_MAX + 1))
     d = int(rng.integers(2, 4))
     table = rng.standard_normal((n, d - 1)) + 1j * rng.standard_normal((n, d - 1))
     return make_gw_state(n, d, table / np.linalg.norm(table))
@@ -326,14 +331,20 @@ def _cmd_check(args) -> int:
     all_reports: list[MonogamyReport] = []
     tally = {"held": 0, "refused": 0, "violated": 0}
     if args.random:
-        rng = np.random.default_rng(args.seed)
+        is_beta = args.ineq in ("beta-lower", "beta-upper")
         block_floor = {"tightened": 3, "chained": 4}.get(args.ineq, 2)
+        n_lo = max(args.site_a, args.site_b, 3) if is_beta else max(block_floor, 3)
+        if n_lo > RANDOM_N_MAX:
+            raise ValueError(
+                f"--site-a/--site-b must not exceed {RANDOM_N_MAX}, "
+                "the largest site count of a random instance"
+            )
+        rng = np.random.default_rng(args.seed)
         worst_margin, worst_instance = None, None
         for index in range(args.random):
-            state = _random_gw_state(rng, n_lo=block_floor if block_floor > 3 else 3)
-            if args.ineq in ("beta-lower", "beta-upper"):
+            state = _random_gw_state(rng, n_lo=n_lo)
+            if is_beta:
                 partition = None
-                args.site_a, args.site_b = 1, 2
             else:
                 partition = _random_partition(rng, state.n, block_floor)
                 while args.ineq in ("tightened", "chained") and partition.r != block_floor:
@@ -349,7 +360,9 @@ def _cmd_check(args) -> int:
                 tally["violated" if _violated(report) else "held"] += 1
                 if worst_margin is None or report.margin < worst_margin:
                     worst_margin, worst_instance = report.margin, index
-        summary = dict(tally, worst_margin=worst_margin, worst_instance=worst_instance)
+        summary = dict(
+            tally, worst_margin=worst_margin, worst_instance=worst_instance, seed=args.seed
+        )
         print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     else:
         state = _resolve_state(args)
@@ -498,7 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--cut", type=int, help="top cut 1..M | M+1..n")
     measure.add_argument("--q", default="2.0", help="comma-separated q values")
     measure.add_argument("--s", default="1.0", help="comma-separated s values")
-    measure.add_argument("--source", choices=("printed", "oracle"), default="oracle")
+    measure.add_argument(
+        "--source",
+        choices=("printed", "oracle"),
+        default="oracle",
+        help="oracle: the physical pair values, evaluated from the site weights; "
+        "printed is refused",
+    )
     _add_io_flags(measure)
     measure.set_defaults(func=_cmd_measure)
 

@@ -2,12 +2,18 @@
 mixed-state evaluation, an effective-two-qubit reduction pipeline, and the
 published closed-form pair values for uniform W states.
 
-Two independent routes to a block-pair concurrence coexist on purpose:
+Three routes to a block-pair concurrence coexist on purpose:
 
+* ``pair_concurrence`` evaluates ``C(P, Q) = 2 p x_P x_Q`` from the site
+  excitation weights in O(n): every two-block reduction of a GW/GWV state
+  lives on the vacuum plus one excitation per block, so Wootters' formula
+  collapses to this product.  ``pair_matrix`` tabulates it over all site
+  pairs, and ``gw measure`` uses it.
 * ``gw_block_concurrence_oracle`` runs the actual pipeline (partial trace,
   projection onto the two-dimensional local supports, two-qubit mixed-state
-  concurrence) and is the verification oracle used everywhere margins are
-  asserted.
+  concurrence) and is the verification oracle behind every inequality
+  checker and residual table.  It agrees with the weights kernel to
+  round-off (about 1e-15), but not bit for bit.
 * ``printed_pair_concurrence_sq`` evaluates the published closed forms for
   the uniform W state.  These do **not** agree with the oracle (see
   ``pair_source_comparison``); they are kept because the reference tables are
@@ -19,14 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Union
 
 import numpy as np
 
 from .states import (
     DensityMatrix,
+    GWState,
+    GWVState,
     Partition,
     PureStateVector,
+    _gw_and_weight,
     _kept_by_traced,
     _schmidt_spectrum,
 )
@@ -199,6 +208,53 @@ def _block_excitation_vector(
     return vec
 
 
+def _block_sites(
+    block_p: Iterable[int], block_q: Iterable[int], n: int
+) -> tuple[list[int], list[int]]:
+    """Sorted sites of two blocks; raises unless both are non-empty, disjoint and in 1..n."""
+    p_sites = sorted({int(s) for s in block_p})
+    q_sites = sorted({int(s) for s in block_q})
+    if not p_sites or not q_sites:
+        raise ValueError("both blocks must be non-empty")
+    if set(p_sites) & set(q_sites):
+        raise ValueError("blocks must be disjoint")
+    for s in p_sites + q_sites:
+        if not 1 <= s <= n:
+            raise ValueError(f"site {s} out of range 1..{n}")
+    return p_sites, q_sites
+
+
+def pair_concurrence(
+    state: Union[GWState, GWVState], block_p: Iterable[int], block_q: Iterable[int]
+) -> float:
+    """Concurrence ``2 p x_P x_Q`` of two disjoint blocks, from the site weights in O(n).
+
+    ``x_P**2`` is the summed excitation weight of block ``P`` and ``p`` the
+    GW weight (1 for a GW state).  Raises the block errors of
+    :func:`gw_block_concurrence_oracle` and, like it, returns 0 when a block
+    carries less than ``_ZERO_WEIGHT`` of excitation weight.
+    """
+    gw, p = _gw_and_weight(state)
+    weights = gw.site_weights
+    p_sites, q_sites = _block_sites(block_p, block_q, gw.n)
+    w_p = float(np.sum(weights[[s - 1 for s in p_sites]]))
+    w_q = float(np.sum(weights[[s - 1 for s in q_sites]]))
+    if p * w_p < _ZERO_WEIGHT or p * w_q < _ZERO_WEIGHT:
+        return 0.0
+    return 2.0 * p * math.sqrt(w_p) * math.sqrt(w_q)
+
+
+def pair_matrix(state: Union[GWState, GWVState]) -> np.ndarray:
+    """All site-pair concurrences as an ``(n, n)`` array with a zero diagonal.
+
+    Entry ``[i-1, j-1]`` is ``pair_concurrence(state, (i,), (j,))``.
+    """
+    sites = range(1, _gw_and_weight(state)[0].n + 1)
+    return np.array(
+        [[0.0 if i == j else pair_concurrence(state, (i,), (j,)) for j in sites] for i in sites]
+    )
+
+
 def gw_block_concurrence_oracle(
     psi: PureStateVector, block_p: Iterable[int], block_q: Iterable[int]
 ) -> float:
@@ -211,17 +267,7 @@ def gw_block_concurrence_oracle(
     is verified: any weight outside the four-dimensional effective subspace
     raises.
     """
-    p_sites = sorted({int(s) for s in block_p})
-    q_sites = sorted({int(s) for s in block_q})
-    n = psi.n_sites
-    if not p_sites or not q_sites:
-        raise ValueError("both blocks must be non-empty")
-    if set(p_sites) & set(q_sites):
-        raise ValueError("blocks must be disjoint")
-    for s in p_sites + q_sites:
-        if not 1 <= s <= n:
-            raise ValueError(f"site {s} out of range 1..{n}")
-
+    p_sites, q_sites = _block_sites(block_p, block_q, psi.n_sites)
     dims = psi.dims
     _, site_amps = _single_excitation_table(psi)
 

@@ -249,17 +249,20 @@ def uniform_w_state(n: int, d: int = 2) -> GWState:
     return GWState(n=n, d=d, coeffs=table)
 
 
+def _gw_and_weight(state: Union[GWState, GWVState]) -> tuple[GWState, float]:
+    """The GW part of a GW or GWV state and its weight ``p`` (1 for a GW state)."""
+    if isinstance(state, GWVState):
+        return state.gw, state.vacuum_weight
+    if isinstance(state, GWState):
+        return state, 1.0
+    raise TypeError(f"expected GWState or GWVState, got {type(state).__name__}")
+
+
 def to_state_vector(
     state: Union[GWState, GWVState], *, amplitude_cap: int = AMPLITUDE_CAP
 ) -> PureStateVector:
     """Materialise the dense amplitude vector of a GW or GWV state."""
-    if isinstance(state, GWVState):
-        gw, p = state.gw, state.vacuum_weight
-    elif isinstance(state, GWState):
-        gw, p = state, 1.0
-    else:
-        raise TypeError(f"expected GWState or GWVState, got {type(state).__name__}")
-
+    gw, p = _gw_and_weight(state)
     size = gw.d**gw.n
     if size > amplitude_cap:
         raise ValueError(

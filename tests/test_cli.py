@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gwmono as gm
-from gwmono.cli import main
+from gwmono.cli import DEFAULT_SEED, example1_state, main
 
 
 def run(args):
@@ -88,6 +88,54 @@ def test_measure_uniform_w_cut(tmp_path):
     assert row["concurrence_sq"] == pytest.approx(8 / 9, abs=1e-12)
 
 
+def _measure_rows(tmp_path, args, name):
+    out = tmp_path / name
+    assert run(["measure", *args, "--format", "json", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_measure_matches_the_oracle(tmp_path):
+    # measure evaluates the site-weights kernel; every row must agree with the
+    # dense oracle run on the same state
+    table = np.array([complex(0.1 * k, 0.05 * (5 - k)) for k in range(1, 11)])
+    table /= np.linalg.norm(table)
+    spec = {"n": 5, "d": 3, "vacuum_weight": 0.7, "coeffs": [[z.real, z.imag] for z in table]}
+    path = tmp_path / "gwv.json"
+    path.write_text(json.dumps(spec))
+    cases = (
+        (["--preset", "example1", "--pairs"], example1_state()),
+        (["--preset", "uniform-w", "6", "--cut", "4"], gm.uniform_w_state(6)),
+        (
+            ["--state", str(path), "--pairs", "--cut", "2", "--q", "2,3", "--s", "0.5,1"],
+            gm.load_state_json(spec),
+        ),
+    )
+    for k, (args, state) in enumerate(cases):
+        psi, n = gm.to_state_vector(state), state.n
+        rows = _measure_rows(tmp_path, args, f"m{k}.json")
+        assert rows
+        for row in rows:
+            if row["kind"] == "pair":
+                i, j = map(int, row["label"].split("-"))
+                blocks = (i,), (j,)
+            else:
+                m = int(row["label"].split("|")[0].split("..")[1])
+                blocks = range(1, m + 1), range(m + 1, n + 1)
+            c = gm.gw_block_concurrence_oracle(psi, *blocks)
+            ue = gm.ue_gw_reduced(c, gm.UEParams(row["q"], row["s"]))
+            assert abs(row["concurrence"] - c) <= 1e-12
+            assert abs(row["concurrence_sq"] - c * c) <= 1e-12
+            assert abs(row["ue"] - ue) <= 1e-12
+
+
+def test_measure_runs_far_above_the_amplitude_cap(tmp_path, capsys):
+    # 2**40 amplitudes: any dense vector would be refused at the cap
+    (row,) = _measure_rows(tmp_path, ["--preset", "uniform-w", "40", "--cut", "20"], "big.json")
+    assert row["concurrence_sq"] == pytest.approx(1.0, abs=1e-12)
+    assert run(["measure", "--preset", "uniform-w", "40", "--cut", "40"]) == 2
+    assert "--cut must lie in 1..39" in capsys.readouterr().err
+
+
 def test_check_squared_example1(tmp_path):
     out = tmp_path / "sq.json"
     code = run(
@@ -159,6 +207,21 @@ def test_check_random_counts_refusals_instead_of_aborting(tmp_path, capsys):
     worst = min(float(row[7]) for row in rows)
     assert summary["worst_margin"] == worst
     assert 0 <= summary["worst_instance"] < 50
+    assert summary["seed"] == DEFAULT_SEED
+
+
+def test_check_random_beta_honours_requested_sites(tmp_path, capsys):
+    out = tmp_path / "beta.json"
+    args = ["check", "--ineq", "beta-lower", "--random", "2", "--format", "json"]
+    assert run(args + ["--site-a", "2", "--site-b", "3", "--out", str(out)]) in (0, 3, 4)
+    reports = json.loads(out.read_text())
+    assert reports
+    assert all((r["params"]["site_a"], r["params"]["site_b"]) == (2, 3) for r in reports)
+    capsys.readouterr()
+    assert run(args + ["--site-b", "7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--site-a/--site-b" in err
+    assert "held" not in err  # rejected before the batch starts
 
 
 def test_malformed_state_is_input_error(tmp_path, capsys):
