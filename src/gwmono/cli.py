@@ -15,7 +15,10 @@ worst instance and the seed) goes to stderr.
 
 ``measure`` takes its pair values from the site-weights kernel
 (``pair_concurrence``) and builds no dense vector; the checkers and the
-oracle-sourced residual tables stay on the dense pipeline.
+oracle-sourced residual tables stay on the dense pipeline.  Only ``pre``
+takes ``--source printed|oracle``: the published closed forms exist for
+uniform-W block cuts alone, so ``measure`` and ``check`` have no source to
+choose.
 
 Outputs are deterministic: rerunning with the same flags and ``--seed``
 produces byte-identical files.  Reference tables are written with six
@@ -107,11 +110,18 @@ def example1_quantities() -> list[dict]:
 # parsing and emission helpers
 
 
-def _float_list(text: str) -> list[float]:
+def _float(text: str) -> float:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        value = float(text)
     except ValueError as exc:
-        raise ValueError(f"expected a comma-separated float list, got {text!r}") from exc
+        raise ValueError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    return [_float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _int_list(text: str) -> list[int]:
@@ -205,11 +215,6 @@ def _emit_records(args, header: Sequence[str], records: Sequence[dict]) -> None:
 
 
 def _cmd_measure(args) -> int:
-    if args.source == "printed":
-        raise ValueError(
-            "printed closed forms apply only to uniform-W block cuts; "
-            "use 'gw pre --source printed' or 'gw compare-sources'"
-        )
     state = _resolve_state(args)
     n = state.n
     if args.cut is not None and not 1 <= args.cut <= n - 1:
@@ -288,21 +293,17 @@ def _check_grid(args, state, partition) -> tuple[Callable[..., MonogamyReport], 
 
     if args.ineq == "squared":
         def check(params, alpha):
-            return check_squared_monogamy(state, partition, focus, params, source=args.source)
+            return check_squared_monogamy(state, partition, focus, params)
 
     elif args.ineq == "power":
         def check(params, alpha):
-            return check_power_monogamy(
-                state, partition, focus, params, alpha, source=args.source
-            )
+            return check_power_monogamy(state, partition, focus, params, alpha)
 
     elif args.ineq == "tightened":
-        mu, h, p = float(args.mu), float(args.h), float(args.p_factor)
+        mu, h, p = _float(args.mu), _float(args.h), _float(args.p_factor)
 
         def check(params, alpha):
-            return check_tightened(
-                state, partition, params, mu=mu, h=h, p=p, alpha=alpha, source=args.source
-            )
+            return check_tightened(state, partition, params, mu=mu, h=h, p=p, alpha=alpha)
 
     elif args.ineq == "chained":
         def per_step(text: str) -> list[float]:
@@ -313,8 +314,7 @@ def _check_grid(args, state, partition) -> tuple[Callable[..., MonogamyReport], 
 
         def check(params, alpha):
             return check_chained(
-                state, partition, params, k=args.k, mus=mus, hs=hs, ps=ps, alpha=alpha,
-                source=args.source,
+                state, partition, params, k=args.k, mus=mus, hs=hs, ps=ps, alpha=alpha
             )
 
     else:
@@ -328,6 +328,8 @@ def _violated(report: MonogamyReport) -> bool:
 
 
 def _cmd_check(args) -> int:
+    if args.random < 0:
+        raise ValueError(f"--random must be non-negative, got {args.random}")
     all_reports: list[MonogamyReport] = []
     tally = {"held": 0, "refused": 0, "violated": 0}
     if args.random:
@@ -511,13 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--cut", type=int, help="top cut 1..M | M+1..n")
     measure.add_argument("--q", default="2.0", help="comma-separated q values")
     measure.add_argument("--s", default="1.0", help="comma-separated s values")
-    measure.add_argument(
-        "--source",
-        choices=("printed", "oracle"),
-        default="oracle",
-        help="oracle: the physical pair values, evaluated from the site weights; "
-        "printed is refused",
-    )
     _add_io_flags(measure)
     measure.set_defaults(func=_cmd_measure)
 
@@ -544,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--k", type=int, default=1, help="split step for chained checks")
     check.add_argument("--random", type=int, default=0, help="run on N random states")
     check.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    check.add_argument("--source", choices=("printed", "oracle"), default="oracle")
     _add_io_flags(check)
     check.set_defaults(func=_cmd_check)
 

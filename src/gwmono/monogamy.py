@@ -7,10 +7,10 @@ checker raises :class:`HypothesisNotMet` instead of evaluating an inequality
 whose preconditions fail, and a negative margin is only meaningful when
 ``hypotheses_ok`` is true.
 
-Pair entanglement values are produced by the reduction pipeline in
-:mod:`gwmono.concurrence`; the published closed forms exist only for uniform
-W block cuts and are therefore not accepted here (use :mod:`gwmono.residual`
-for those).
+Checkers take a :class:`GWState` or :class:`GWVState`.  Pair entanglement
+values come from the reduction pipeline in :mod:`gwmono.concurrence`; the
+published closed forms exist only for uniform W block cuts and are used by
+:mod:`gwmono.residual` alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .concurrence import PairSource, gw_block_concurrence_oracle
+from .concurrence import gw_block_concurrence_oracle
 from .states import (
     GWState,
     GWVState,
@@ -86,13 +86,7 @@ class MonogamyReport:
         }
 
 
-StateLike = Union[GWState, GWVState, PureStateVector]
-
-
-def _as_vector(state: StateLike) -> PureStateVector:
-    if isinstance(state, PureStateVector):
-        return state
-    return to_state_vector(state)
+StateLike = Union[GWState, GWVState]
 
 
 def _require(hypotheses: Sequence[Hypothesis]) -> None:
@@ -120,14 +114,6 @@ def _params_echo(params: UEParams, **extra) -> dict:
     return echo
 
 
-def _reject_printed(source: Union[PairSource, str]) -> None:
-    if PairSource(source) is PairSource.PRINTED:
-        raise ValueError(
-            "printed closed forms exist only for uniform-W block cuts; "
-            "use the residual module for that path"
-        )
-
-
 def _focus_pair_ues(
     psi: PureStateVector, partition: Partition, focus: int, params: UEParams
 ) -> tuple[float, list[float]]:
@@ -149,17 +135,12 @@ def _focus_pair_ues(
 
 
 def check_squared_monogamy(
-    state: StateLike,
-    partition: Partition,
-    focus: int,
-    params: UEParams,
-    source: Union[PairSource, str] = PairSource.ORACLE,
+    state: StateLike, partition: Partition, focus: int, params: UEParams
 ) -> MonogamyReport:
     """Squared-entanglement monogamy: ``U^2(focus|rest) >= sum_i U^2(focus, P_i)``."""
-    _reject_printed(source)
     region = _region_hypothesis(params)
     _require([region])
-    psi = _as_vector(state)
+    psi = to_state_vector(state)
     u_lhs, u_pairs = _focus_pair_ues(psi, partition, focus, params)
     lhs = u_lhs**2
     rhs = float(sum(u**2 for u in u_pairs))
@@ -179,14 +160,12 @@ def check_power_monogamy(
     focus: int,
     params: UEParams,
     alpha: float,
-    source: Union[PairSource, str] = PairSource.ORACLE,
 ) -> MonogamyReport:
     """Power-``alpha`` monogamy for ``alpha >= 2``; strictly reversed for ``alpha <= 0``.
 
     No statement exists for ``alpha`` in (0, 2).  The reversed form needs at
     least three blocks and strictly positive pair values.
     """
-    _reject_printed(source)
     alpha = float(alpha)
     region = _region_hypothesis(params)
     alpha_ok = Hypothesis(
@@ -203,7 +182,7 @@ def check_power_monogamy(
         )
     _require(hypotheses)
 
-    psi = _as_vector(state)
+    psi = to_state_vector(state)
     u_lhs, u_pairs = _focus_pair_ues(psi, partition, focus, params)
 
     reversed_form = alpha <= 0.0
@@ -429,15 +408,13 @@ def check_tightened(
     h: float,
     p: float,
     alpha: float,
-    source: Union[PairSource, str] = PairSource.ORACLE,
 ) -> MonogamyReport:
     """Tightened three-block bound: ``U^alpha(P1|P2 P3) >=`` :func:`tightened_lower_bound`."""
-    _reject_printed(source)
     if partition.r != 3:
         raise ValueError(f"need exactly three blocks, got {partition.r}")
     region = _region_hypothesis(params)
     _require([region])
-    psi = _as_vector(state)
+    psi = to_state_vector(state)
     u_lhs, (u12, u13) = _focus_pair_ues(psi, partition, 0, params)
     feasibility = Hypothesis(
         "mu_feasible_for_state",
@@ -468,15 +445,13 @@ def check_chained(
     hs: Sequence[float],
     ps: Sequence[float],
     alpha: float,
-    source: Union[PairSource, str] = PairSource.ORACLE,
 ) -> MonogamyReport:
     """Multi-block chained bound with the first block as the focus side."""
-    _reject_printed(source)
     if partition.r < 4:
         raise ValueError(f"need at least four blocks, got {partition.r}")
     region = _region_hypothesis(params)
     _require([region])
-    psi = _as_vector(state)
+    psi = to_state_vector(state)
     focus = partition.blocks[0]
     tails = partition.blocks[1:]
     pair_ues = [
@@ -545,7 +520,7 @@ def check_beta_lower_bound(
     hypotheses = _beta_hypotheses(beta, s)
     _require(hypotheses)
     params = UEParams(q=2.0, s=s)
-    psi = _as_vector(state)
+    psi = to_state_vector(state)
     u_ab, x_side, y_side = _beta_sides(psi, site_a, site_b, params)
     lhs = u_ab**beta
     rhs = abs(x_side**beta - y_side**beta)
@@ -568,7 +543,7 @@ def check_beta_upper_bound(
     hypotheses = _beta_hypotheses(beta, s)
     _require(hypotheses)
     params = UEParams(q=2.0, s=s)
-    psi = _as_vector(state)
+    psi = to_state_vector(state)
     u_ab, x_side, y_side = _beta_sides(psi, site_a, site_b, params)
     lhs = u_ab**beta
     rhs = x_side**beta + y_side**beta

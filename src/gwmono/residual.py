@@ -28,9 +28,9 @@ from .concurrence import (
     oracle_pair_concurrence_sq,
     printed_pair_concurrence_sq,
 )
-from .monogamy import Hypothesis, HypothesisNotMet, MonogamyReport, StateLike, _as_vector
-from .states import to_state_vector, uniform_w_state
-from .unified import UEParams, g_qs, in_region_r, region_lower_q, region_upper_q
+from .monogamy import MonogamyReport, StateLike, _region_hypothesis, _require
+from .states import _gw_and_weight, to_state_vector, uniform_w_state
+from .unified import UEParams, g_qs, region_lower_q, region_upper_q
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,6 @@ class PREResult:
             "source": self.source.value,
             "value": self.value,
         }
-
-
-def _require_region(params: UEParams) -> None:
-    if not in_region_r(params):
-        raise HypothesisNotMet(
-            [
-                Hypothesis(
-                    "params_in_validity_region", False, f"q={params.q}, s={params.s}"
-                )
-            ]
-        )
 
 
 _SUB_PAIRS = (PairKind.FRONT_FRONT, PairKind.BACK_FRONT, PairKind.FRONT_BACK, PairKind.BACK_BACK)
@@ -127,18 +116,16 @@ def pairwise_residual(
     )
 
 
-def pairwise_residual_general(
-    state: StateLike, m: int, params: UEParams
-) -> float:
-    """Pairwise-form residual of an arbitrary W-class state through the oracle.
+def pairwise_residual_general(state: StateLike, m: int, params: UEParams) -> float:
+    """Pairwise-form residual of a GW or GWV state through the oracle.
 
     Splits sites 1..n at ``m`` and subtracts every cross site-pair term from
     the top-cut value explicitly: the ``pairwise_residual`` entry of
     :func:`residual_chain_check` on that cut.
     """
-    psi = _as_vector(state)
-    cut = BlockCut(n=psi.n_sites, m=m, a=m, b=psi.n_sites)
-    return residual_chain_check(psi, cut, params).params["pairwise_residual"]
+    n = _gw_and_weight(state)[0].n
+    cut = BlockCut(n=n, m=m, a=m, b=n)
+    return residual_chain_check(state, cut, params).params["pairwise_residual"]
 
 
 def block_residual_table(
@@ -161,7 +148,7 @@ def block_residual_table(
     rows = []
     for q in q_values:
         params = UEParams(q=float(q), s=float(s))
-        _require_region(params)
+        _require([_region_hypothesis(params)])
         rows.append(
             [
                 float(g_qs(top, params) ** 2 - sum(g_qs(c, params) ** 2 for c in pairs))
@@ -187,7 +174,7 @@ def pairwise_residual_table(
     rows = []
     for q in q_values:
         params = UEParams(q=float(q), s=float(s))
-        _require_region(params)
+        _require([_region_hypothesis(params)])
         site_term = g_qs(site_csq, params) ** 2
         row = [
             float(g_qs(top, params) ** 2 - m * (n - m) * site_term)
@@ -208,15 +195,16 @@ def region_q_grid(s: float, points: int = 50) -> np.ndarray:
 def residual_chain_check(
     state: StateLike, cut: BlockCut, params: UEParams
 ) -> MonogamyReport:
-    """Verify the three-tier squared-entanglement chain on an arbitrary W-class state.
+    """Verify the three-tier squared-entanglement chain on a GW or GWV state.
 
     Tier 1 is the top block cut, tier 2 the four sub-block pairs, tier 3 all
     cross site pairs; the chain requires tier1 >= tier2 >= tier3.  All values
     go through the oracle.  The report carries each tier and the block and
     pairwise residuals; its margin is the smallest chain gap.
     """
-    _require_region(params)
-    psi = _as_vector(state)
+    region = _region_hypothesis(params)
+    _require([region])
+    psi = to_state_vector(state)
     if psi.n_sites != cut.n:
         raise ValueError(f"cut is for {cut.n} sites but state has {psi.n_sites}")
 
@@ -242,9 +230,7 @@ def residual_chain_check(
         lhs=tier1,
         rhs=tier2,
         margin=min(block_gap, refine_gap),
-        hypotheses=(
-            Hypothesis("params_in_validity_region", True, f"q={params.q}, s={params.s}"),
-        ),
+        hypotheses=(region,),
         params={
             "q": params.q,
             "s": params.s,

@@ -16,8 +16,10 @@ functions, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -65,10 +67,12 @@ class GWState:
             raise ValueError(f"coefficients are not normalised: |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "coeffs", _readonly(c))
 
-    @property
+    @functools.cached_property
     def site_weights(self) -> np.ndarray:
-        """Per-site excitation weight ``x_s**2 = sum_i |a_si|**2`` (length n)."""
-        return np.sum(np.abs(self.coeffs) ** 2, axis=1)
+        """Per-site excitation weight ``x_s**2 = sum_i |a_si|**2`` (length n, read-only)."""
+        weights = np.sum(np.abs(self.coeffs) ** 2, axis=1)
+        weights.setflags(write=False)
+        return weights
 
 
 @dataclass(frozen=True)
@@ -339,10 +343,10 @@ def load_state_json(source: Union[str, Path, dict]) -> Union[GWState, GWVState]:
     else:
         payload = json.loads(Path(source).read_text())
     try:
-        n = int(payload["n"])
-        d = int(payload["d"])
+        n = operator.index(payload["n"])  # an integer, not a float or a numeric string
+        d = operator.index(payload["d"])
         raw = list(payload["coeffs"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state JSON: {exc}") from exc
     if len(raw) != n * (d - 1):
         raise ValueError(

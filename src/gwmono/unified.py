@@ -242,12 +242,12 @@ _FD_STEP = 1e-5  # central-difference step on the angles
 _ARMIJO = 1e-4  # fraction of the predicted decrease a step must realise
 _BACKTRACK = 0.5  # step shrink factor when a step falls short
 _GAIN_TOL = 1e-12  # an iteration lowering the value by no more than this ends the restart
+_STEP_TOL = 1e-10  # a step no longer than this in every coordinate ends the restart
 
 
 def _bfgs_lockstep(
     values_and_gradients: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
-    step_tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, bool]:
     """Minimise from every row of ``x`` at once with BFGS and Armijo backtracking.
@@ -255,7 +255,7 @@ def _bfgs_lockstep(
     ``values_and_gradients`` maps a ``(batch, n)`` array of points to their
     values and gradients; each call covers every restart that still has a
     step to try.  A restart stops once its step, after backtracking, is at
-    most ``step_tol`` in every coordinate, or once an accepted step gains no
+    most ``_STEP_TOL`` in every coordinate, or once an accepted step gains no
     more than ``_GAIN_TOL``.  ``x`` is updated in place; returns the final
     values and whether every restart stopped within ``max_iter`` iterations.
     """
@@ -277,7 +277,7 @@ def _bfgs_lockstep(
         trying = np.arange(len(active))
         while True:
             step = scale[trying, None] * direction[trying]
-            big = np.max(np.abs(step), axis=1) > step_tol
+            big = np.max(np.abs(step), axis=1) > _STEP_TOL
             trying, step = trying[big], step[big]
             if not trying.size:
                 break
@@ -313,7 +313,6 @@ def convex_roof_ue_rank2(
     *,
     restarts: int = 20,
     rng: Optional[Union[int, np.random.Generator]] = None,
-    step_tol: float = 1e-10,
     max_sweeps: int = 4000,
 ) -> float:
     """Numerically minimise the average pure-state unified entanglement.
@@ -329,7 +328,7 @@ def convex_roof_ue_rank2(
     fixed seed reproduces the result.
 
     A restart stops once the step it would take, after backtracking, is at
-    most ``step_tol`` in every angle, or once an iteration lowers its value
+    most 1e-10 in every angle, or once an iteration lowers its value
     by no more than 1e-12.  ``max_sweeps`` caps the quasi-Newton iterations;
     a ``RuntimeWarning`` is emitted if any restart is still moving there, and
     the best value reached so far is returned.  The average entanglement of
@@ -384,7 +383,7 @@ def convex_roof_ue_rank2(
     starts = np.vstack(
         (np.zeros(n_angles), gen.uniform(0.0, 2.0 * math.pi, size=(restarts - 1, n_angles)))
     )
-    values, converged = _bfgs_lockstep(values_and_gradients, starts, step_tol, max_sweeps)
+    values, converged = _bfgs_lockstep(values_and_gradients, starts, max_sweeps)
     if not converged:
         warnings.warn(
             "decomposition search hit the sweep cap before reaching step tolerance",

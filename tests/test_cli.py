@@ -233,6 +233,41 @@ def test_malformed_state_is_input_error(tmp_path, capsys):
     for coeffs in (5, None):
         bad.write_text(json.dumps({"n": 3, "d": 2, "coeffs": coeffs}))
         assert run(["measure", "--state", str(bad), "--pairs"]) == 2
+    # n and d must be JSON integers, not numeric strings or truncated floats
+    site = [[0.5, 0.0]]
+    for n, d, entries in (("3", 2.7, 3), (4.9, 2, 4), (4, 2.0, 4)):
+        bad.write_text(json.dumps({"n": n, "d": d, "coeffs": site * entries}))
+        capsys.readouterr()
+        assert run(["measure", "--state", str(bad), "--pairs"]) == 2
+        assert "cannot be interpreted as an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ineq", "power", "--alpha", "nan"],
+        ["--ineq", "power", "--alpha", "inf"],
+        ["--ineq", "beta-lower", "--beta", "nan"],
+        ["--ineq", "tightened", "--mu", "inf", "--alpha", "4"],
+        ["--ineq", "squared", "--q", "2,-inf"],
+    ],
+    ids=["alpha-nan", "alpha-inf", "beta-nan", "mu-inf", "q-minus-inf"],
+)
+def test_check_non_finite_parameter_is_input_error(tmp_path, capsys, flags):
+    out = tmp_path / "rows.csv"
+    args = ["check", "--preset", "example1", "--partition", "1;2;3", "--out", str(out)]
+    assert run(args + flags) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_negative_random_count_is_input_error(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert run(["check", "--ineq", "squared", "--random", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--random must be non-negative" in err
+    assert "held" not in err  # no batch summary
+    assert not out.exists()
 
 
 def test_unknown_preset_is_input_error():

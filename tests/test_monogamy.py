@@ -34,11 +34,28 @@ def test_squared_monogamy_region_refusal(example1):
         gm.check_squared_monogamy(example1, three_site_partition(), 0, UEParams(0.5, 1.0))
 
 
-def test_squared_monogamy_rejects_printed_source(example1):
-    with pytest.raises(ValueError, match="printed"):
-        gm.check_squared_monogamy(
-            example1, three_site_partition(), 0, P21, source="printed"
-        )
+_DENSE_INPUT_CALLS = {
+    "squared": lambda st: gm.check_squared_monogamy(st, three_site_partition(), 0, P21),
+    "power": lambda st: gm.check_power_monogamy(st, three_site_partition(), 0, P21, 2.0),
+    "tightened": lambda st: gm.check_tightened(
+        st, three_site_partition(), P21, mu=1.0, h=1.0, p=1.0, alpha=2.0
+    ),
+    "chained": lambda st: gm.check_chained(
+        st, gm.Partition(((1,), (2,), (3,), (4,))), P21,
+        k=1, mus=[1.0, 1.0], hs=[1.0, 1.0], ps=[1.0, 1.0], alpha=2.0,
+    ),
+    "beta-lower": lambda st: gm.check_beta_lower_bound(st, 1, 2, 1.0, 0.5),
+    "beta-upper": lambda st: gm.check_beta_upper_bound(st, 1, 2, 1.0, 0.5),
+    "residual-chain": lambda st: gm.residual_chain_check(st, gm.BlockCut(4, 2, 1, 3), P21),
+    "pairwise-general": lambda st: gm.pairwise_residual_general(st, 2, P21),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_INPUT_CALLS))
+def test_checkers_reject_dense_vectors(example1, name):
+    # every hypothesis of these calls holds, so only the input type can refuse
+    with pytest.raises(TypeError, match="expected GWState or GWVState, got PureStateVector"):
+        _DENSE_INPUT_CALLS[name](gm.to_state_vector(example1))
 
 
 def test_squared_monogamy_random_sample():

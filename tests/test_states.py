@@ -13,6 +13,16 @@ def test_make_gw_state_uniform_six():
     assert np.allclose(st.site_weights, 1 / 6)
 
 
+def test_site_weights_computed_once_and_read_only():
+    st = gm.make_gw_state(3, 3, [[0.6, 0.0], [0.0, 0.48j], [0.64, 0.0]])
+    weights = st.site_weights
+    assert st.site_weights is weights
+    assert np.allclose(weights, [0.36, 0.2304, 0.4096])
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+
+
 def test_make_gw_state_example1_sites(example1):
     # amplitudes are site-major: site 1 carries sqrt(0.5), site 4 carries 0.3
     assert example1.coeffs[0, 0] == pytest.approx(math.sqrt(0.5), abs=1e-15)
