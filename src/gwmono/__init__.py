@@ -34,11 +34,7 @@ from .monogamy import (
     tightened_lower_bound,
 )
 from .residual import (
-    PREResult,
-    block_residual,
     block_residual_table,
-    pairwise_residual,
-    pairwise_residual_general,
     pairwise_residual_table,
     region_q_grid,
     residual_chain_check,
@@ -46,7 +42,6 @@ from .residual import (
 from .states import (
     DensityMatrix,
     GWState,
-    GWVState,
     Partition,
     PureStateVector,
     load_state_json,

@@ -8,10 +8,12 @@ series and the worked four-qubit example), ``pre`` (residual grids) and
 Exit codes: 0 success, 2 invalid input, 3 hypothesis refusal (a stated
 precondition of the requested inequality does not hold), 4 genuine violation
 (hypotheses met, margin negative beyond tolerance).  ``check --random N``
-evaluates every instance: a refused checker call writes no row, the exit
-code is 4 if any call violated, else 3 if any was refused, else 0, and one
-JSON summary line (held, refused, violated, worst margin, the index of the
-worst instance and the seed) goes to stderr.
+draws its own states and partitions (``--preset``, ``--state`` and
+``--partition`` are invalid input there) and evaluates every instance: a
+refused checker call writes no row, the exit code is 4 if any call violated,
+else 3 if any was refused, else 0, and one JSON summary line (held, refused,
+violated, worst margin, the index of the worst instance and the seed) goes
+to stderr.
 
 ``measure`` takes its pair values from the site-weights kernel
 (``pair_concurrence``) and builds no dense vector; the checkers and the
@@ -333,6 +335,11 @@ def _cmd_check(args) -> int:
     all_reports: list[MonogamyReport] = []
     tally = {"held": 0, "refused": 0, "violated": 0}
     if args.random:
+        ignored = [f"--{name}" for name in ("preset", "state", "partition") if getattr(args, name)]
+        if ignored:
+            raise ValueError(
+                f"--random draws its own states and partitions; drop {', '.join(ignored)}"
+            )
         is_beta = args.ineq in ("beta-lower", "beta-upper")
         block_floor = {"tightened": 3, "chained": 4}.get(args.ineq, 2)
         n_lo = max(args.site_a, args.site_b, 3) if is_beta else max(block_floor, 3)

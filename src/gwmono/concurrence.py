@@ -25,18 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .states import (
     DensityMatrix,
     GWState,
-    GWVState,
     Partition,
     PureStateVector,
-    _gw_and_weight,
     _kept_by_traced,
+    _require_gw,
     _schmidt_spectrum,
 )
 
@@ -224,19 +223,17 @@ def _block_sites(
     return p_sites, q_sites
 
 
-def pair_concurrence(
-    state: Union[GWState, GWVState], block_p: Iterable[int], block_q: Iterable[int]
-) -> float:
+def pair_concurrence(state: GWState, block_p: Iterable[int], block_q: Iterable[int]) -> float:
     """Concurrence ``2 p x_P x_Q`` of two disjoint blocks, from the site weights in O(n).
 
     ``x_P**2`` is the summed excitation weight of block ``P`` and ``p`` the
-    GW weight (1 for a GW state).  Raises the block errors of
+    state's ``vacuum_weight`` (1 for a GW state).  Raises the block errors of
     :func:`gw_block_concurrence_oracle` and, like it, returns 0 when a block
     carries less than ``_ZERO_WEIGHT`` of excitation weight.
     """
-    gw, p = _gw_and_weight(state)
-    weights = gw.site_weights
-    p_sites, q_sites = _block_sites(block_p, block_q, gw.n)
+    _require_gw(state)
+    p, weights = state.vacuum_weight, state.site_weights
+    p_sites, q_sites = _block_sites(block_p, block_q, state.n)
     w_p = float(np.sum(weights[[s - 1 for s in p_sites]]))
     w_q = float(np.sum(weights[[s - 1 for s in q_sites]]))
     if p * w_p < _ZERO_WEIGHT or p * w_q < _ZERO_WEIGHT:
@@ -244,12 +241,13 @@ def pair_concurrence(
     return 2.0 * p * math.sqrt(w_p) * math.sqrt(w_q)
 
 
-def pair_matrix(state: Union[GWState, GWVState]) -> np.ndarray:
+def pair_matrix(state: GWState) -> np.ndarray:
     """All site-pair concurrences as an ``(n, n)`` array with a zero diagonal.
 
     Entry ``[i-1, j-1]`` is ``pair_concurrence(state, (i,), (j,))``.
     """
-    sites = range(1, _gw_and_weight(state)[0].n + 1)
+    _require_gw(state)
+    sites = range(1, state.n + 1)
     return np.array(
         [[0.0 if i == j else pair_concurrence(state, (i,), (j,)) for j in sites] for i in sites]
     )

@@ -7,22 +7,22 @@ checker raises :class:`HypothesisNotMet` instead of evaluating an inequality
 whose preconditions fail, and a negative margin is only meaningful when
 ``hypotheses_ok`` is true.
 
-Checkers take a :class:`GWState` or :class:`GWVState`.  Pair entanglement
-values come from the reduction pipeline in :mod:`gwmono.concurrence`; the
-published closed forms exist only for uniform W block cuts and are used by
-:mod:`gwmono.residual` alone.
+Checkers take a :class:`GWState`, with or without a vacuum admixture (its
+``vacuum_weight``), and raise ``TypeError`` for anything else.  Pair
+entanglement values come from the reduction pipeline in
+:mod:`gwmono.concurrence`; the published closed forms exist only for uniform W
+block cuts and are used by :mod:`gwmono.residual` alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .concurrence import gw_block_concurrence_oracle
 from .states import (
     GWState,
-    GWVState,
     Partition,
     PureStateVector,
     reduce,
@@ -86,9 +86,6 @@ class MonogamyReport:
         }
 
 
-StateLike = Union[GWState, GWVState]
-
-
 def _require(hypotheses: Sequence[Hypothesis]) -> None:
     failed = [h for h in hypotheses if not h.ok]
     if failed:
@@ -135,7 +132,7 @@ def _focus_pair_ues(
 
 
 def check_squared_monogamy(
-    state: StateLike, partition: Partition, focus: int, params: UEParams
+    state: GWState, partition: Partition, focus: int, params: UEParams
 ) -> MonogamyReport:
     """Squared-entanglement monogamy: ``U^2(focus|rest) >= sum_i U^2(focus, P_i)``."""
     region = _region_hypothesis(params)
@@ -155,7 +152,7 @@ def check_squared_monogamy(
 
 
 def check_power_monogamy(
-    state: StateLike,
+    state: GWState,
     partition: Partition,
     focus: int,
     params: UEParams,
@@ -401,7 +398,7 @@ def chained_lower_bound_folded(
 
 
 def check_tightened(
-    state: StateLike,
+    state: GWState,
     partition: Partition,
     params: UEParams,
     mu: float,
@@ -437,7 +434,7 @@ def check_tightened(
 
 
 def check_chained(
-    state: StateLike,
+    state: GWState,
     partition: Partition,
     params: UEParams,
     k: int,
@@ -510,7 +507,7 @@ def _beta_hypotheses(beta: float, s: float) -> list[Hypothesis]:
 
 
 def check_beta_lower_bound(
-    state: StateLike, site_a: int, site_b: int, beta: float, s: float
+    state: GWState, site_a: int, site_b: int, beta: float, s: float
 ) -> MonogamyReport:
     """Fractional-power lower bound across the two-site cut at ``q = 2``.
 
@@ -537,7 +534,7 @@ def check_beta_lower_bound(
 
 
 def check_beta_upper_bound(
-    state: StateLike, site_a: int, site_b: int, beta: float, s: float
+    state: GWState, site_a: int, site_b: int, beta: float, s: float
 ) -> MonogamyReport:
     """Fractional-power upper bound ``U^beta(rho_ab) <= X^beta + Y^beta`` at ``q = 2``."""
     hypotheses = _beta_hypotheses(beta, s)

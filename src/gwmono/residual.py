@@ -7,16 +7,20 @@ for a cut of sites 1..n into blocks 1..m | m+1..n with inner split points
 * block form: top-cut value minus the four sub-block pair terms;
 * pairwise form: top-cut value minus all cross site-pair terms.
 
-Pair values come from one of two sources (see :mod:`gwmono.concurrence`):
-``printed`` reproduces the published reference tables bit-for-bit, ``oracle``
-uses the reduction pipeline and is the verified route.  Outputs always record
-their source because the two disagree.
+Each residual has one entry point.  For the uniform W state,
+:func:`block_residual_table` and :func:`pairwise_residual_table` tabulate
+them on a ``q`` grid (a single value is a 1x1 table), with pair values from
+one of two sources (see :mod:`gwmono.concurrence`): ``printed`` reproduces
+the published reference tables bit-for-bit, ``oracle`` uses the reduction
+pipeline and is the verified route.  Outputs always record their source
+because the two disagree.  For any GW or GWV state,
+:func:`residual_chain_check` evaluates both forms through the oracle and
+reports them as its ``block_residual`` and ``pairwise_residual`` params.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -28,36 +32,9 @@ from .concurrence import (
     oracle_pair_concurrence_sq,
     printed_pair_concurrence_sq,
 )
-from .monogamy import MonogamyReport, StateLike, _region_hypothesis, _require
-from .states import _gw_and_weight, to_state_vector, uniform_w_state
+from .monogamy import MonogamyReport, _region_hypothesis, _require
+from .states import GWState, to_state_vector, uniform_w_state
 from .unified import UEParams, g_qs, region_lower_q, region_upper_q
-
-
-@dataclass(frozen=True)
-class PREResult:
-    """One residual value with everything needed to reproduce it."""
-
-    kind: str  # "block" or "pairwise"
-    n: int
-    m: int
-    a: int | None
-    b: int | None
-    params: UEParams
-    source: PairSource
-    value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "a": self.a,
-            "b": self.b,
-            "q": self.params.q,
-            "s": self.params.s,
-            "source": self.source.value,
-            "value": self.value,
-        }
 
 
 _SUB_PAIRS = (PairKind.FRONT_FRONT, PairKind.BACK_FRONT, PairKind.FRONT_BACK, PairKind.BACK_BACK)
@@ -75,57 +52,6 @@ def _uniform_w_pair_csq(
         return [printed_pair_concurrence_sq(cut, kind) for cut, kind in pairs]
     psi = to_state_vector(uniform_w_state(n))
     return [oracle_pair_concurrence_sq(psi, *cut.pair_blocks()[kind]) for cut, kind in pairs]
-
-
-def block_residual(
-    cut: BlockCut,
-    params: UEParams,
-    source: Union[PairSource, str] = PairSource.PRINTED,
-) -> PREResult:
-    """Block-form residual of the uniform W state of ``cut.n`` sites.
-
-    ``g^2`` of the top-cut squared concurrence minus the four sub-block pair
-    terms, with the pair values taken from the requested source.
-    """
-    source = PairSource(source)
-    [[value]] = block_residual_table(
-        [params.q], [cut.a], n=cut.n, m=cut.m, b=cut.b, s=params.s, source=source
-    )
-    return PREResult(
-        kind="block", n=cut.n, m=cut.m, a=cut.a, b=cut.b,
-        params=params, source=source, value=value,
-    )
-
-
-def pairwise_residual(
-    n: int,
-    m: int,
-    params: UEParams,
-    source: Union[PairSource, str] = PairSource.PRINTED,
-) -> PREResult:
-    """Pairwise-form residual of the uniform W state: all site pairs are identical.
-
-    ``g^2`` of the top-cut value minus ``m (n - m)`` copies of the site-pair
-    term.
-    """
-    source = PairSource(source)
-    [[value]] = pairwise_residual_table([params.q], [m], n=n, s=params.s, source=source)
-    return PREResult(
-        kind="pairwise", n=n, m=m, a=None, b=None,
-        params=params, source=source, value=value,
-    )
-
-
-def pairwise_residual_general(state: StateLike, m: int, params: UEParams) -> float:
-    """Pairwise-form residual of a GW or GWV state through the oracle.
-
-    Splits sites 1..n at ``m`` and subtracts every cross site-pair term from
-    the top-cut value explicitly: the ``pairwise_residual`` entry of
-    :func:`residual_chain_check` on that cut.
-    """
-    n = _gw_and_weight(state)[0].n
-    cut = BlockCut(n=n, m=m, a=m, b=n)
-    return residual_chain_check(state, cut, params).params["pairwise_residual"]
 
 
 def block_residual_table(
@@ -192,9 +118,7 @@ def region_q_grid(s: float, points: int = 50) -> np.ndarray:
     return np.linspace(region_lower_q(s), hi, points)
 
 
-def residual_chain_check(
-    state: StateLike, cut: BlockCut, params: UEParams
-) -> MonogamyReport:
+def residual_chain_check(state: GWState, cut: BlockCut, params: UEParams) -> MonogamyReport:
     """Verify the three-tier squared-entanglement chain on a GW or GWV state.
 
     Tier 1 is the top block cut, tier 2 the four sub-block pairs, tier 3 all

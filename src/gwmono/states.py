@@ -4,7 +4,8 @@ A generalized W-class (GW) state on ``n`` qudits of local dimension ``d`` is a
 normalised superposition of single-site excitations: site ``s`` raised to
 level ``i`` (``1 <= i <= d-1``) with amplitude ``coeffs[s-1, i-1]``, every
 other site in ``|0>``.  The vacuum-extended (GWV) variant coherently mixes in
-the all-zero ket: ``sqrt(p) |W> + sqrt(1-p) |0...0>``.
+the all-zero ket: ``sqrt(p) |W> + sqrt(1-p) |0...0>``.  Both are one type,
+:class:`GWState`, whose ``vacuum_weight`` is ``p`` (1 for a GW state).
 
 Sites are numbered 1..n throughout the public API.  Dense vectors use
 big-endian site ordering: the flat index of ``|x1 x2 ... xn>`` is
@@ -20,7 +21,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -44,13 +45,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GWState:
-    """Single-excitation qudit state with amplitude table ``coeffs[site, level-1]``."""
+    """Single-excitation qudit state with amplitude table ``coeffs[site, level-1]``.
+
+    ``vacuum_weight`` is the GW weight ``p`` of the GWV state
+    ``sqrt(p) |W> + sqrt(1-p) |0...0>``; ``p = 1`` (the default) means no
+    vacuum admixture.  States compare and hash by value.
+    """
 
     n: int
     d: int
     coeffs: np.ndarray
+    vacuum_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n < 2 or self.d < 2:
@@ -65,7 +72,25 @@ class GWState:
             raise ValueError(f"coefficient norm {norm} is not finite")
         if abs(norm - 1.0) > _STATE_NORM_TOL:
             raise ValueError(f"coefficients are not normalised: |norm - 1| = {abs(norm - 1.0):.3e}")
+        p = float(self.vacuum_weight)
+        if not 0.0 <= p <= 1.0:  # also false for nan
+            raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
         object.__setattr__(self, "coeffs", _readonly(c))
+        object.__setattr__(self, "vacuum_weight", p)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.d == other.d
+            and self.vacuum_weight == other.vacuum_weight
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which __eq__ treats as equal
+        return hash((self.n, self.d, self.vacuum_weight, (self.coeffs + 0.0).tobytes()))
 
     @functools.cached_property
     def site_weights(self) -> np.ndarray:
@@ -73,28 +98,6 @@ class GWState:
         weights = np.sum(np.abs(self.coeffs) ** 2, axis=1)
         weights.setflags(write=False)
         return weights
-
-
-@dataclass(frozen=True)
-class GWVState:
-    """Coherent superposition of a GW state (weight ``sqrt(p)``) and the vacuum."""
-
-    gw: GWState
-    vacuum_weight: float  # p in [0, 1]; p = 1 means no vacuum admixture
-
-    def __post_init__(self) -> None:
-        p = float(self.vacuum_weight)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-        object.__setattr__(self, "vacuum_weight", p)
-
-    @property
-    def n(self) -> int:
-        return self.gw.n
-
-    @property
-    def d(self) -> int:
-        return self.gw.d
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,9 @@ def make_gw_state(
     return GWState(n=int(n), d=int(d), coeffs=c / norm)
 
 
-def make_gwv_state(gw: GWState, p: float) -> GWVState:
+def make_gwv_state(gw: GWState, p: float) -> GWState:
     """Superpose ``gw`` (weight ``sqrt(p)``) with the vacuum (weight ``sqrt(1-p)``)."""
-    return GWVState(gw=gw, vacuum_weight=p)
+    return replace(gw, vacuum_weight=p)
 
 
 def uniform_w_state(n: int, d: int = 2) -> GWState:
@@ -253,21 +256,17 @@ def uniform_w_state(n: int, d: int = 2) -> GWState:
     return GWState(n=n, d=d, coeffs=table)
 
 
-def _gw_and_weight(state: Union[GWState, GWVState]) -> tuple[GWState, float]:
-    """The GW part of a GW or GWV state and its weight ``p`` (1 for a GW state)."""
-    if isinstance(state, GWVState):
-        return state.gw, state.vacuum_weight
-    if isinstance(state, GWState):
-        return state, 1.0
-    raise TypeError(f"expected GWState or GWVState, got {type(state).__name__}")
+def _require_gw(state: GWState) -> None:
+    """Raise ``TypeError`` unless ``state`` is a :class:`GWState`."""
+    if not isinstance(state, GWState):
+        raise TypeError(f"expected GWState, got {type(state).__name__}")
 
 
-def to_state_vector(
-    state: Union[GWState, GWVState], *, amplitude_cap: int = AMPLITUDE_CAP
-) -> PureStateVector:
+def to_state_vector(state: GWState, *, amplitude_cap: int = AMPLITUDE_CAP) -> PureStateVector:
     """Materialise the dense amplitude vector of a GW or GWV state."""
-    gw, p = _gw_and_weight(state)
-    size = gw.d**gw.n
+    _require_gw(state)
+    n, d, p = state.n, state.d, state.vacuum_weight
+    size = d**n
     if size > amplitude_cap:
         raise ValueError(
             f"dense vector would need {size} amplitudes, above the cap of {amplitude_cap}"
@@ -275,12 +274,12 @@ def to_state_vector(
     amps = np.zeros(size, dtype=np.complex128)
     scale = math.sqrt(p)
     # the flat index of "site s at level i, all others 0" is i * d^(n-s)
-    for s in range(gw.n):
-        stride = gw.d ** (gw.n - 1 - s)
-        for i in range(1, gw.d):
-            amps[i * stride] = scale * gw.coeffs[s, i - 1]
+    for s in range(n):
+        stride = d ** (n - 1 - s)
+        for i in range(1, d):
+            amps[i * stride] = scale * state.coeffs[s, i - 1]
     amps[0] = math.sqrt(max(0.0, 1.0 - p))
-    return PureStateVector(dims=(gw.d,) * gw.n, amps=amps)
+    return PureStateVector(dims=(d,) * n, amps=amps)
 
 
 def reduce(psi: PureStateVector, keep: Iterable[int]) -> DensityMatrix:
@@ -332,7 +331,7 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.sum(np.abs(rho.entries) ** 2))
 
 
-def load_state_json(source: Union[str, Path, dict]) -> Union[GWState, GWVState]:
+def load_state_json(source: Union[str, Path, dict]) -> GWState:
     """Load a state from the JSON schema ``{n, d, coeffs: [[re, im], ...], vacuum_weight?}``.
 
     ``coeffs`` lists the ``n*(d-1)`` amplitudes site-major: site 1 levels

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gwmono as gm
 from gwmono.cli import DEFAULT_SEED, example1_state, main
@@ -210,6 +214,52 @@ def test_check_random_counts_refusals_instead_of_aborting(tmp_path, capsys):
     assert summary["seed"] == DEFAULT_SEED
 
 
+def _sub_grid(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True).map(
+        lambda picked: ",".join(picked)
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+# a batch with genuine violations of the fractional-power upper bound (s = 0.5)
+# next to refusals (s = 0.3)
+@example(ineq="beta-upper", count=3, seed=4, q="2", s="0.3,0.5", alpha="2", beta="1")
+@given(
+    ineq=st.sampled_from(["squared", "power", "tightened", "chained", "beta-lower", "beta-upper"]),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    q=_sub_grid(["0.5", "2", "3"]),  # q = 0.5 lies outside region R
+    s=_sub_grid(["0.3", "0.5", "0.8", "1"]),  # s = 0.3 is outside the beta bounds' range
+    alpha=_sub_grid(["1", "2", "3"]),  # alpha = 1 has no power statement
+    beta=_sub_grid(["0.5", "1", "1.5"]),  # beta = 1.5 is outside [0, 1]
+)
+def test_check_random_never_confuses_refusals_and_violations(
+    ineq, count, seed, q, s, alpha, beta
+):
+    args = ["check", "--ineq", ineq, "--random", str(count), "--seed", str(seed)]
+    args += ["--q", q, "--s", s, "--alpha", alpha, "--beta", beta, "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(args)
+    rows = json.loads(out.getvalue())
+    summary = json.loads(err.getvalue().splitlines()[-1])
+    violated = [
+        r for r in rows if all(h["ok"] for h in r["hypotheses"]) and r["margin"] < -1e-9
+    ]
+    if violated:
+        assert code == 4
+    else:
+        assert code == (3 if summary["refused"] > 0 else 0)
+    assert len(rows) == summary["held"] + summary["violated"]
+    assert summary["violated"] == len(violated)
+    if ineq.startswith("beta"):
+        calls = len(s.split(",")) * len(beta.split(","))
+    else:
+        per_point = 1 if ineq == "squared" else len(alpha.split(","))
+        calls = len(q.split(",")) * len(s.split(",")) * per_point
+    assert summary["held"] + summary["refused"] + summary["violated"] == count * calls
+
+
 def test_check_random_beta_honours_requested_sites(tmp_path, capsys):
     out = tmp_path / "beta.json"
     args = ["check", "--ineq", "beta-lower", "--random", "2", "--format", "json"]
@@ -270,6 +320,27 @@ def test_check_negative_random_count_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--preset", "example1", "--partition", "1;2"],
+        ["--preset", "uniform-w", "4"],
+        ["--state", "state.json"],
+        ["--partition", "1;2;3"],
+    ],
+    ids=["preset-partition", "preset", "state", "partition"],
+)
+def test_check_random_rejects_state_and_partition_flags(capsys, flags):
+    args = ["check", "--ineq", "squared", "--random", "1", "--q", "2"]
+    assert run(args + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    named = [flag for flag in flags if flag.startswith("--")]
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert all(flag in err for flag in named)
+    assert "held" not in err  # rejected before any instance is drawn
+
+
 def test_unknown_preset_is_input_error():
     assert run(["measure", "--preset", "nonsense", "--pairs"]) == 2
     assert run(["measure", "--preset", "uniform-w", "0", "--pairs"]) == 2
@@ -317,7 +388,7 @@ def test_pre_pairwise_oracle_source(tmp_path):
     ) == 0
     rows = read_csv(out)
     assert rows[0] == ["q", "m=1", "m=3"]
-    expected = gm.pairwise_residual(6, 3, gm.UEParams(2.0, 1.0), source="oracle").value
+    [[expected]] = gm.pairwise_residual_table([2.0], [3], n=6, source="oracle")
     assert float(rows[1][2]) == pytest.approx(expected, abs=1e-12)
 
 

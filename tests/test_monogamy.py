@@ -47,14 +47,13 @@ _DENSE_INPUT_CALLS = {
     "beta-lower": lambda st: gm.check_beta_lower_bound(st, 1, 2, 1.0, 0.5),
     "beta-upper": lambda st: gm.check_beta_upper_bound(st, 1, 2, 1.0, 0.5),
     "residual-chain": lambda st: gm.residual_chain_check(st, gm.BlockCut(4, 2, 1, 3), P21),
-    "pairwise-general": lambda st: gm.pairwise_residual_general(st, 2, P21),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_DENSE_INPUT_CALLS))
 def test_checkers_reject_dense_vectors(example1, name):
     # every hypothesis of these calls holds, so only the input type can refuse
-    with pytest.raises(TypeError, match="expected GWState or GWVState, got PureStateVector"):
+    with pytest.raises(TypeError, match="expected GWState, got PureStateVector"):
         _DENSE_INPUT_CALLS[name](gm.to_state_vector(example1))
 
 

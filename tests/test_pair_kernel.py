@@ -64,14 +64,13 @@ def test_pair_matrix_entries_equal_pair_concurrence(state):
 def test_zero_weight_block_is_zero_on_both_routes(case, scale):
     # a block weight below the 1e-24 cut-off counts as zero, not only an exact 0
     state, block_p, block_q = case
-    gw = state.gw if isinstance(state, gm.GWVState) else state
-    coeffs = np.array(gw.coeffs)
+    coeffs = np.array(state.coeffs)
     rows = [s - 1 for s in block_p]
     assume(np.linalg.norm(np.delete(coeffs, rows, axis=0)) > 0.0)
     coeffs[rows] *= scale
-    silent = gm.make_gw_state(gw.n, gw.d, coeffs, renormalize=True)
-    if isinstance(state, gm.GWVState):
-        silent = gm.make_gwv_state(silent, state.vacuum_weight)
+    silent = gm.make_gwv_state(
+        gm.make_gw_state(state.n, state.d, coeffs, renormalize=True), state.vacuum_weight
+    )
     psi = gm.to_state_vector(silent)
     assert gm.pair_concurrence(silent, block_p, block_q) == 0.0
     assert gm.gw_block_concurrence_oracle(psi, block_p, block_q) == 0.0

@@ -85,6 +85,44 @@ def test_gwv_half_mix_norm():
     assert np.linalg.norm(vec.amps) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_gwv_state_values_are_pinned_bits():
+    # dyadic amplitudes keep every norm and weight exact, so the expected
+    # floats below do not depend on the platform's summation order
+    coeffs = [[0.5, 0.5j], [0.5, 0.25], [0.25j, -0.25 + 0.25j]]
+    flat = np.ravel(coeffs).astype(complex)
+    payload = {"n": 3, "d": 3, "coeffs": [[z.real, z.imag] for z in flat], "vacuum_weight": 0.7}
+    big, small = 0.4183300132670378, 0.2091650066335189
+    expected = np.zeros(27, dtype=complex)
+    expected[[0, 1, 2, 3, 6, 9, 18]] = [
+        0.5477225575051662, small * 1j, complex(-small, small), big, small, big, big * 1j
+    ]
+    pairs = (((1,), (2,)), ((1,), (3,)), ((2,), (3,)), ((1,), (2, 3)))
+    for state in (
+        gm.make_gwv_state(gm.make_gw_state(3, 3, coeffs), 0.7),
+        gm.load_state_json(payload),
+    ):
+        assert type(state) is gm.GWState and state.vacuum_weight == 0.7
+        assert gm.to_state_vector(state).amps.tobytes() == expected.tobytes()
+        assert [gm.pair_concurrence(state, *pq) for pq in pairs] == [
+            0.5533985905294664, 0.4286607049870562, 0.338886042793149, 0.7000000000000001
+        ]
+
+
+def test_states_compare_and_hash_by_value():
+    a, b = gm.uniform_w_state(3), gm.uniform_w_state(3)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "w3"}[b] == "w3"
+    assert gm.make_gwv_state(a, 1.0) == a
+    assert gm.make_gwv_state(a, 0.5) != a
+    assert gm.make_gwv_state(a, 0.5) == gm.make_gwv_state(b, 0.5)
+    assert a != gm.uniform_w_state(4) and a != gm.uniform_w_state(3, 3)
+    assert a != a.coeffs.tolist()
+    pos = gm.GWState(2, 2, [[1.0], [0.0]])
+    neg = gm.GWState(2, 2, [[1.0], [-0.0]])
+    assert pos.coeffs.tobytes() != neg.coeffs.tobytes()
+    assert pos == neg and hash(pos) == hash(neg)
+
+
 def test_to_state_vector_positions(example1):
     two = gm.to_state_vector(gm.make_gw_state(2, 2, [1 / math.sqrt(2)] * 2))
     # |10> is index 2, |01> is index 1 in big-endian site order
@@ -227,7 +265,7 @@ def test_state_json_roundtrip(tmp_path, example1):
 
     payload["vacuum_weight"] = 0.25
     gwv = gm.load_state_json(payload)
-    assert isinstance(gwv, gm.GWVState)
+    assert gwv == gm.make_gwv_state(st, 0.25)
     assert gwv.vacuum_weight == 0.25
 
 
