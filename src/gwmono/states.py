@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -352,10 +353,18 @@ def load_state_json(source: Union[str, Path, dict]) -> GWState:
             f"expected {n * (d - 1)} coefficient entries for n={n}, d={d}, got {len(raw)}"
         )
     try:
-        flat = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
+        pairs = [(_json_number(re, "each part"), _json_number(im, "each part")) for re, im in raw]
+        flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"coefficients must be [re, im] pairs: {exc}") from exc
     gw = make_gw_state(n, d, flat.reshape(n, d - 1))
     if "vacuum_weight" in payload and payload["vacuum_weight"] is not None:
-        return make_gwv_state(gw, float(payload["vacuum_weight"]))
+        return make_gwv_state(gw, _json_number(payload["vacuum_weight"], "vacuum_weight"))
     return gw
+
+
+def _json_number(value: object, name: str) -> float:
+    """``value`` as a float if it is a JSON number; strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)

@@ -128,10 +128,12 @@ def _f_from_u(u: float, params: UEParams) -> float:
         return out
     power_sum = lam_hi**params.q + lam_lo**params.q
     if regime == "s_near_0":
-        return math.log(power_sum) / (1.0 - params.q)
-    if regime == "s_near_1":
-        return (power_sum - 1.0) / (1.0 - params.q)
-    return (power_sum**params.s - 1.0) / ((1.0 - params.q) * params.s)
+        value = math.log(power_sum) / (1.0 - params.q)
+    elif regime == "s_near_1":
+        value = (power_sum - 1.0) / (1.0 - params.q)
+    else:
+        value = (power_sum**params.s - 1.0) / ((1.0 - params.q) * params.s)
+    return value + 0.0  # an exact zero divided by 1 - q < 0 is -0.0; report it as 0.0
 
 
 def f_qs(x: float, params: UEParams) -> float:
@@ -160,13 +162,15 @@ def _entropy_rows(lams: np.ndarray, params: UEParams) -> np.ndarray:
     regime = params.regime
     if regime == "q_near_1":
         terms = np.where(lams > 0.0, lams * np.log(np.where(lams > 0.0, lams, 1.0)), 0.0)
-        return -np.sum(terms, axis=1)
+        return 0.0 - np.sum(terms, axis=1)  # not -sum: a pure spectrum gives 0.0, not -0.0
     power_sum = np.sum(lams**params.q, axis=1)
     if regime == "s_near_0":
-        return np.log(power_sum) / (1.0 - params.q)
-    if regime == "s_near_1":
-        return (power_sum - 1.0) / (1.0 - params.q)
-    return (power_sum**params.s - 1.0) / ((1.0 - params.q) * params.s)
+        values = np.log(power_sum) / (1.0 - params.q)
+    elif regime == "s_near_1":
+        values = (power_sum - 1.0) / (1.0 - params.q)
+    else:
+        values = (power_sum**params.s - 1.0) / ((1.0 - params.q) * params.s)
+    return values + 0.0  # as in _f_from_u: no -0.0 for a pure spectrum
 
 
 def unified_entropy(rho: DensityMatrix, params: UEParams) -> float:
@@ -195,115 +199,152 @@ def ue_gw_reduced(concurrence: float, params: UEParams) -> float:
     return f_qs(concurrence, params)
 
 
-def _isometries(angles: np.ndarray, m: int, r: int) -> np.ndarray:
-    """(batch, m, r) isometries from rows of Givens angles plus relative column phases.
-
-    Each row holds, for every pair ``i < j`` in order, a rotation angle and a
-    phase, followed by ``r - 1`` phases applied to columns ``1..r-1``.
-    """
-    n_rot = m * (m - 1)
-    cos = np.cos(angles[:, 0:n_rot:2])
-    sin_phase = np.sin(angles[:, 0:n_rot:2]) * np.exp(1j * angles[:, 1:n_rot:2])
-    rows = [np.zeros((angles.shape[0], r), dtype=np.complex128) for _ in range(m)]
-    for k in range(r):
-        rows[k][:, k] = 1.0
-    k = 0
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            c, sp = cos[:, k, None], sin_phase[:, k, None]
-            rows[i], rows[j] = c * rows[i] + sp * rows[j], c * rows[j] - sp.conj() * rows[i]
-            k += 1
-    iso = np.stack(rows, axis=1)
-    iso[:, :, 1:] *= np.exp(1j * angles[:, None, n_rot:])
-    return iso
-
-
-def _decomposition_values(
-    angles: np.ndarray, source: np.ndarray, m: int, params: UEParams
-) -> np.ndarray:
-    """Average member entanglement of the decomposition for each row of ``angles``.
-
-    ``source`` is the ``(r, 4)`` stack of weighted eigenvectors written as
-    flattened 2x2 matrices on the effective support, so each member's
-    Schmidt spectrum follows from its weight and determinant.
-    """
-    members = _isometries(angles, m, source.shape[0]) @ source  # (batch, m, 4), unnormalised
-    weights = np.sum(members.real**2 + members.imag**2, axis=2)
-    dets = members[..., 0] * members[..., 3] - members[..., 1] * members[..., 2]
-    gap = np.sqrt(np.clip(weights**2 - 4.0 * (dets.real**2 + dets.imag**2), 0.0, None))
-    live = weights > 1e-14
-    w = np.where(live, weights, 1.0)
-    lams = np.stack(((w + gap) / (2.0 * w), (w - gap) / (2.0 * w)), axis=-1)
-    values = _entropy_rows(lams.reshape(-1, 2), params).reshape(weights.shape)
-    return np.sum(np.where(live, weights * values, 0.0), axis=1)
-
-
 _FD_STEP = 1e-5  # central-difference step on the angles
+_PROBE_TURN = complex(math.cos(_FD_STEP), math.sin(_FD_STEP))  # exp(i h), h = _FD_STEP
 _ARMIJO = 1e-4  # fraction of the predicted decrease a step must realise
 _BACKTRACK = 0.5  # step shrink factor when a step falls short
 _GAIN_TOL = 1e-12  # an iteration lowering the value by no more than this ends the restart
 _STEP_TOL = 1e-10  # a step no longer than this in every coordinate ends the restart
 
 
-def _bfgs_lockstep(
+def _probe_values(x: np.ndarray, source: np.ndarray, m: int, params: UEParams) -> np.ndarray:
+    """Average member entanglement at each row of ``x`` and at its central-difference probes.
+
+    Row ``b`` of the ``(batch, 2 n + 1)`` result holds the value at ``x[b]``,
+    then at ``x[b] + h e_a`` for each of the ``n`` angles ``a``, then at
+    ``x[b] - h e_a``, with ``h = _FD_STEP``.  A row of angles holds, for every
+    pair ``i < j`` in order, a Givens rotation angle and its phase, followed
+    by ``r - 1`` phases on columns ``1..r-1`` of the ``(m, r)`` isometry.
+    ``source`` is the ``(r, 4)`` stack of weighted eigenvectors written as
+    flattened 2x2 matrices on the effective support, so each member's
+    Schmidt spectrum follows from its weight and determinant.
+
+    A probe moves one angle, so its cosines and sines come from the base
+    point's by the angle-addition formulas; points sit innermost in every
+    array, and rows of the isometry that are still zero are not rotated.
+    """
+    batch, n = x.shape
+    r = source.shape[0]
+    n_points = 2 * n + 1
+    base = np.cos(x.T) + 1j * np.sin(x.T)  # (angle, batch)
+    a = np.arange(n)
+    z = np.repeat(base[:, :, None], n_points, axis=2)  # (angle, batch, probe)
+    z[a, :, 1 + a] = base * _PROBE_TURN
+    z[a, :, 1 + n + a] = base * _PROBE_TURN.conjugate()
+    z = z.reshape(n, -1)  # cos + i sin of every angle at every point
+
+    n_rot = m * (m - 1)
+    cos_rot = z[0:n_rot:2].real
+    sin_phase = z[0:n_rot:2].imag * z[1:n_rot:2]
+    minus_conj = -sin_phase.conj()
+    # the column phases commute with the row rotations, so they start on the rows
+    rows: list[Optional[np.ndarray]] = [None] * m  # None: a row still known to be zero
+    for k in range(r):
+        rows[k] = np.zeros((r, z.shape[1]), dtype=np.complex128)
+        rows[k][k] = 1.0 if k == 0 else z[n_rot + k - 1]
+    k = 0
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            if rows[j] is None:
+                rows[i], rows[j] = cos_rot[k] * rows[i], minus_conj[k] * rows[i]
+            else:
+                rows[i], rows[j] = (
+                    cos_rot[k] * rows[i] + sin_phase[k] * rows[j],
+                    cos_rot[k] * rows[j] + minus_conj[k] * rows[i],
+                )
+            k += 1
+    members = source.T @ np.stack(rows)  # (m, 4, points), unnormalised
+    weights = np.sum(members.real**2 + members.imag**2, axis=1)
+    dets = members[:, 0] * members[:, 3] - members[:, 1] * members[:, 2]
+    gap = np.sqrt(np.clip(weights**2 - 4.0 * (dets.real**2 + dets.imag**2), 0.0, None))
+    live = weights > 1e-14
+    w = np.where(live, weights, 1.0)
+    lams = np.stack(((w + gap) / (2.0 * w), (w - gap) / (2.0 * w)), axis=-1)
+    values = _entropy_rows(lams.reshape(-1, 2), params).reshape(weights.shape)
+    return np.sum(np.where(live, weights * values, 0.0), axis=0).reshape(batch, n_points)
+
+
+def _bfgs_restarts(
     values_and_gradients: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
     max_iter: int,
 ) -> tuple[np.ndarray, bool]:
-    """Minimise from every row of ``x`` at once with BFGS and Armijo backtracking.
+    """Minimise from every row of ``x`` with BFGS and Armijo backtracking.
 
     ``values_and_gradients`` maps a ``(batch, n)`` array of points to their
-    values and gradients; each call covers every restart that still has a
-    step to try.  A restart stops once its step, after backtracking, is at
-    most ``_STEP_TOL`` in every coordinate, or once an accepted step gains no
-    more than ``_GAIN_TOL``.  ``x`` is updated in place; returns the final
-    values and whether every restart stopped within ``max_iter`` iterations.
+    values and gradients.  Each call evaluates one trial point per restart
+    still open, whether that restart starts an iteration or halves the step
+    of one that fell short, so no restart waits while others backtrack.
+    Before its first BFGS update, and after each reset to steepest descent,
+    a restart's identity inverse Hessian is scaled by ``s.y / y.y``
+    (Shanno-Phua).  A restart stops once its step, after backtracking, is
+    at most ``_STEP_TOL`` in every coordinate, or once an accepted step gains
+    no more than ``_GAIN_TOL``.  ``x`` is updated in place; returns the final
+    values and whether every restart stopped within ``max_iter`` accepted
+    iterations.
     """
+    n_restarts, n = x.shape
     f, g = values_and_gradients(x)
-    inv_hess = np.tile(np.eye(x.shape[1]), (len(x), 1, 1))
-    active = np.arange(len(x))
-    for _ in range(max_iter):
-        if not active.size:
-            break
-        direction = -np.einsum("aij,aj->ai", inv_hess[active], g[active])
-        slope = np.einsum("ai,ai->a", g[active], direction)
-        uphill = slope >= 0.0  # stale curvature estimate: restart from steepest descent
-        inv_hess[active[uphill]] = np.eye(x.shape[1])
-        direction[uphill] = -g[active[uphill]]
-        slope[uphill] = -np.einsum("ai,ai->a", direction[uphill], direction[uphill])
+    inv_hess = np.tile(np.eye(n), (n_restarts, 1, 1))
+    unscaled = np.ones(n_restarts, dtype=bool)  # inverse Hessian is still the plain identity
+    direction, slope, scale = np.empty_like(x), np.empty(n_restarts), np.ones(n_restarts)
+    iterations = np.zeros(n_restarts, dtype=int)
+    is_open = np.full(n_restarts, max_iter > 0)
+    capped = max_iter <= 0
+    new = np.arange(n_restarts)  # restarts that start an iteration with the next trial
+    while True:
+        if new.size:
+            d = -np.einsum("aij,aj->ai", inv_hess[new], g[new])
+            sl = np.einsum("ai,ai->a", g[new], d)
+            uphill = sl >= 0.0
+            if uphill.any():  # stale curvature estimate: restart from steepest descent
+                inv_hess[new[uphill]] = np.eye(n)
+                unscaled[new[uphill]] = True
+                d[uphill] = -g[new[uphill]]
+                sl[uphill] = -np.einsum("ai,ai->a", d[uphill], d[uphill])
+            direction[new], slope[new], scale[new] = d, sl, 1.0
 
-        scale = np.ones(len(active))
-        keep = np.zeros(len(active), dtype=bool)
-        trying = np.arange(len(active))
-        while True:
-            step = scale[trying, None] * direction[trying]
-            big = np.max(np.abs(step), axis=1) > _STEP_TOL
+        trying = np.flatnonzero(is_open)
+        step = scale[trying, None] * direction[trying]
+        big = np.max(np.abs(step), axis=1) > _STEP_TOL
+        if not big.all():
+            is_open[trying[~big]] = False
             trying, step = trying[big], step[big]
-            if not trying.size:
-                break
-            idx = active[trying]
-            f_new, g_new = values_and_gradients(x[idx] + step)
-            # strict decrease too: near the minimum the Armijo margin rounds away
-            ok = (f_new <= f[idx] + _ARMIJO * scale[trying] * slope[trying]) & (f_new < f[idx])
-            done, s, y = idx[ok], step[ok], g_new[ok] - g[idx[ok]]
-            sy = np.einsum("ai,ai->a", s, y)
-            # BFGS update of the inverse Hessian where the curvature condition holds
-            curved = sy > 1e-8 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
-            s, y, sy = s[curved], y[curved], sy[curved]
-            hy = np.einsum("aij,aj->ai", inv_hess[done[curved]], y)
-            ss = s[:, :, None] * s[:, None, :]
+        if not trying.size:
+            return f, not capped
+        f_new, g_new = values_and_gradients(x[trying] + step)
+        f_old = f[trying]
+        # strict decrease too: near the minimum the Armijo margin rounds away
+        ok = (f_new <= f_old + _ARMIJO * scale[trying] * slope[trying]) & (f_new < f_old)
+        scale[trying[~ok]] *= _BACKTRACK
+        new, s, f_new, g_new, f_old = trying[ok], step[ok], f_new[ok], g_new[ok], f_old[ok]
+        y = g_new - g[new]
+        sy = np.einsum("ai,ai->a", s, y)
+        yy = np.einsum("ai,ai->a", y, y)
+        # BFGS update of the inverse Hessian where the curvature condition holds
+        curved = sy > 1e-8 * np.sqrt(np.einsum("ai,ai->a", s, s) * yy)
+        if curved.any():
+            upd, s, y, sy, yy = new[curved], s[curved], y[curved], sy[curved], yy[curved]
+            h = inv_hess[upd]
+            first = unscaled[upd]  # Shanno-Phua: start from the identity times s.y / y.y
+            h[first] *= (sy[first] / yy[first])[:, None, None]
+            unscaled[upd] = False
+            hy = np.einsum("aij,aj->ai", h, y)
             hys = hy[:, :, None] * s[:, None, :]
-            inv_hess[done[curved]] += (
-                ((sy + np.einsum("ai,ai->a", y, hy)) / sy**2)[:, None, None] * ss
+            inv_hess[upd] = (
+                h
+                + ((sy + np.einsum("ai,ai->a", y, hy)) / sy**2)[:, None, None]
+                * (s[:, :, None] * s[:, None, :])
                 - (hys + hys.transpose(0, 2, 1)) / sy[:, None, None]
             )
-            keep[trying[ok]] = f[done] - f_new[ok] > _GAIN_TOL
-            x[done] += step[ok]
-            f[done], g[done] = f_new[ok], g_new[ok]
-            trying = trying[~ok]
-            scale[trying] *= _BACKTRACK
-        active = active[keep]
-    return f, not active.size
+        x[new] += step[ok]
+        f[new], g[new] = f_new, g_new
+        iterations[new] += 1
+        moving = f_old - f_new > _GAIN_TOL
+        at_cap = iterations[new] >= max_iter
+        capped |= bool((moving & at_cap).any())
+        is_open[new[~moving | at_cap]] = False
+        new = new[moving & ~at_cap]
 
 
 def convex_roof_ue_rank2(
@@ -321,20 +362,24 @@ def convex_roof_ue_rank2(
     density matrix with up to ``decomposition_size`` elements, parametrised
     by Givens angles acting on the eigenvector weights.  Each restart is a
     BFGS quasi-Newton descent with Armijo backtracking on central-difference
-    gradients; all restarts advance in lockstep, so every objective
-    evaluation is one batched call over the restarts and their probe points.
-    Restart 0 starts from the eigendecomposition (all angles zero) and the
-    others from angles drawn uniformly from ``rng`` (seed or generator), so a
-    fixed seed reproduces the result.
+    gradients; its identity inverse Hessian is scaled by ``s.y / y.y``
+    before its first update and after each reset to steepest descent
+    (Shanno-Phua).  Each objective evaluation is one batched call holding
+    one trial point, with its probe points, per restart still searching.
+    Every restart keeps its own schedule: a restart that halves its step
+    shares the call with restarts that start their next iteration, so
+    none waits for another.  Restart 0 starts from the eigendecomposition
+    (all angles zero) and the others from angles drawn uniformly from
+    ``rng`` (seed or generator), so a fixed seed reproduces the result.
 
     A restart stops once the step it would take, after backtracking, is at
-    most 1e-10 in every angle, or once an iteration lowers its value
-    by no more than 1e-12.  ``max_sweeps`` caps the quasi-Newton iterations;
-    a ``RuntimeWarning`` is emitted if any restart is still moving there, and
-    the best value reached so far is returned.  The average entanglement of
-    each candidate decomposition is computed from reduced spectra directly,
-    independent of the analytic concurrence map this oracle is typically
-    used to check.
+    most 1e-10 in every angle, or once an iteration lowers its value by no
+    more than 1e-12.  ``max_sweeps`` caps each restart's accepted
+    quasi-Newton iterations; a ``RuntimeWarning`` is emitted if any restart
+    is still moving there, and the best value reached so far is returned.
+    The average entanglement of each candidate decomposition is computed
+    from reduced spectra directly, independent of the analytic concurrence
+    map this oracle is typically used to check.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -371,11 +416,9 @@ def convex_roof_ue_rank2(
         raise ValueError(f"decomposition size {m} below state rank {r}")
 
     n_angles = m * (m - 1) + (r - 1)
-    probes = _FD_STEP * np.vstack((np.zeros(n_angles), np.eye(n_angles), -np.eye(n_angles)))
 
     def values_and_gradients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        points = (x[:, None, :] + probes).reshape(-1, n_angles)
-        vals = _decomposition_values(points, compact, m, params).reshape(len(x), -1)
+        vals = _probe_values(x, compact, m, params)
         grads = (vals[:, 1 : n_angles + 1] - vals[:, n_angles + 1 :]) / (2.0 * _FD_STEP)
         return vals[:, 0], grads
 
@@ -383,7 +426,7 @@ def convex_roof_ue_rank2(
     starts = np.vstack(
         (np.zeros(n_angles), gen.uniform(0.0, 2.0 * math.pi, size=(restarts - 1, n_angles)))
     )
-    values, converged = _bfgs_lockstep(values_and_gradients, starts, max_sweeps)
+    values, converged = _bfgs_restarts(values_and_gradients, starts, max_sweeps)
     if not converged:
         warnings.warn(
             "decomposition search hit the sweep cap before reaching step tolerance",

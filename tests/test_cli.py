@@ -293,6 +293,45 @@ def test_malformed_state_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [
+        {"coeffs": [[0.6, 0.0], [0.8, 0.0]], "vacuum_weight": "0.7"},
+        {"coeffs": [[0.6, 0.0], [0.8, 0.0]], "vacuum_weight": True},
+        {"coeffs": [[True, 0], [False, 0]]},
+    ],
+)
+def test_state_json_numbers_are_json_numbers(tmp_path, capsys, spec):
+    # a string or boolean where the schema has a number is refused, not coerced
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, **spec}))
+    assert run(["measure", "--state", str(path), "--pairs"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert "must be a JSON number" in err
+
+
+@pytest.mark.parametrize("weight, p", [(1, 1.0), (None, 1.0), (0, 0.0)])
+def test_state_json_integer_and_null_vacuum_weight_load(tmp_path, weight, p):
+    path = tmp_path / "state.json"
+    spec = {"n": 2, "d": 2, "coeffs": [[1, 0], [0, 0]], "vacuum_weight": weight}
+    path.write_text(json.dumps(spec))
+    assert gm.load_state_json(path).vacuum_weight == p
+    assert run(["measure", "--state", str(path), "--pairs"]) == 0
+
+
+def test_measure_prints_no_negative_zero(tmp_path, capsys):
+    # an unentangled pair has ue exactly 0; for q > 1 the formula's 0 / (1 - q) is -0.0
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, "coeffs": [[1, 0], [0, 0]]}))
+    capsys.readouterr()
+    assert run(["measure", "--state", str(path), "--pairs", "--q", "1,2,3", "--s", "0,0.6,1"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 9
+    assert {row["ue"] for row in rows} == {"0"}
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--ineq", "power", "--alpha", "nan"],

@@ -1,10 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gwmono as gm
-from gwmono.unified import UEParams, _entropy_rows
+from gwmono.unified import _FD_STEP, UEParams, _entropy_rows, _probe_values
 from conftest import random_gw_state
 
 P21 = UEParams(2.0, 1.0)
@@ -185,6 +188,23 @@ def test_additivity_exact_only_at_s_one():
         assert gap > 1e-3
 
 
+@pytest.mark.parametrize(
+    "params, regime",
+    [
+        (UEParams(1.0, 0.5), "q_near_1"),
+        (UEParams(2.0, 0.0), "s_near_0"),
+        (UEParams(2.0, 1.0), "s_near_1"),
+        (UEParams(2.5, 0.6), "generic"),
+    ],
+)
+def test_zero_entanglement_is_positive_zero(params, regime):
+    # for q > 1 the formulas divide an exact 0 by 1 - q < 0, which gives -0.0
+    assert params.regime == regime
+    pure = np.array([[1.0, 0.0], [0.0, 1.0]])
+    for value in (gm.f_qs(0.0, params), gm.g_qs(0.0, params), *_entropy_rows(pure, params)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_entropy_rows_batches():
     lams = np.array([[0.5, 0.5], [1.0, 0.0]])
     out = _entropy_rows(lams, P21)
@@ -299,3 +319,121 @@ def test_roof_matches_analytic_map_qubit_and_qutrit():
             gm.reduce(vec, sites), params, rng=int(rng.integers(0, 2**31))
         )
         assert roof == pytest.approx(gm.f_qs(c, params), abs=1e-4)
+
+
+def _reference_entropy(lams, params):
+    """The unified entropy formula with its three limits, on one spectrum."""
+    q, s = params.q, params.s
+    lams = lams[lams > 0.0]
+    if params.regime == "q_near_1":
+        return float(-np.sum(lams * np.log(lams)))
+    power_sum = float(np.sum(lams**q))
+    if params.regime == "s_near_0":
+        return math.log(power_sum) / (1.0 - q)
+    if params.regime == "s_near_1":
+        return (power_sum - 1.0) / (1.0 - q)
+    return (power_sum**s - 1.0) / ((1.0 - q) * s)
+
+
+def _reference_decomposition_value(angles, source, m, params):
+    """Plain Givens product, then each member's Schmidt spectrum from an SVD."""
+    r = source.shape[0]
+    iso = np.eye(m, r, dtype=complex)
+    k = 0
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            theta, phi = angles[2 * k], angles[2 * k + 1]
+            givens = np.eye(m, dtype=complex)
+            givens[i, i] = givens[j, j] = math.cos(theta)
+            givens[i, j] = math.sin(theta) * cmath.exp(1j * phi)
+            givens[j, i] = -math.sin(theta) * cmath.exp(-1j * phi)
+            iso = givens @ iso
+            k += 1
+    iso = iso @ np.diag(np.exp(1j * np.concatenate(([0.0], angles[m * (m - 1) :]))))
+    total = 0.0
+    for member in iso @ source:
+        sv2 = np.linalg.svd(member.reshape(2, 2), compute_uv=False) ** 2
+        weight = float(np.sum(sv2))
+        if weight > 1e-14:
+            total += weight * _reference_entropy(sv2 / weight, params)
+    return total
+
+
+_unit = st.floats(-1.0, 1.0)
+_q_not_one = st.floats(1.2, 4.0)
+_regime_params = st.one_of(
+    st.builds(UEParams, st.just(1.0), st.floats(0.0, 1.5)),  # q_near_1
+    st.builds(UEParams, _q_not_one, st.just(0.0)),  # s_near_0
+    st.builds(UEParams, _q_not_one, st.just(1.0)),  # s_near_1
+    st.builds(UEParams, _q_not_one, st.floats(0.1, 0.9)),  # generic
+)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    m=st.integers(2, 4),
+    batch=st.integers(1, 3),
+    params=_regime_params,
+    data=st.data(),
+)
+def test_probe_values_match_reference(m, batch, params, data):
+    r = 2
+    n = m * (m - 1) + r - 1
+    angles = data.draw(
+        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=batch * n, max_size=batch * n)
+    )
+    parts = data.draw(st.lists(_unit, min_size=8 * r, max_size=8 * r))
+    source = (np.array(parts[0::2]) + 1j * np.array(parts[1::2])).reshape(r, 4)
+    x = np.array(angles).reshape(batch, n)
+    got = _probe_values(x, source, m, params)
+    assert got.shape == (batch, 2 * n + 1)
+    offsets = _FD_STEP * np.vstack((np.zeros(n), np.eye(n), -np.eye(n)))
+    for b in range(batch):
+        for p, offset in enumerate(offsets):
+            want = _reference_decomposition_value(x[b] + offset, source, m, params)
+            assert abs(got[b, p] - want) <= 1e-13
+
+
+def _generic_rank2(seed):
+    rng = np.random.default_rng(seed)
+    vecs = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+    mix = 0.6 * np.outer(vecs[:, 0], vecs[:, 0].conj())
+    mix += 0.4 * np.outer(vecs[:, 1], vecs[:, 1].conj())
+    return gm.DensityMatrix((2, 2), mix)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_roof_single_restart(seed):
+    # the one restart starts from the eigendecomposition; on a generic
+    # two-qubit state that is no stationary point, so it reaches the roof
+    rho = _generic_rank2(seed)
+    params = UEParams(2.0, 0.6)
+    target = gm.f_qs(gm.wootters_concurrence(rho), params)
+    assert gm.convex_roof_ue_rank2(rho, params, restarts=1) == pytest.approx(target, abs=1e-10)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_roof_small_decompositions_reach_the_map(example1, example1_vec, size):
+    # two members of equal concurrence already realise the roof of a rank-2 state
+    rho = gm.reduce(example1_vec, (1, 3))
+    target = gm.f_qs(gm.pair_concurrence(example1, (1,), (3,)), P21)
+    roof = gm.convex_roof_ue_rank2(rho, P21, decomposition_size=size, rng=9)
+    assert roof == pytest.approx(target, abs=1e-10)
+
+
+def test_roof_qutrit_reduction():
+    table = np.array([[0.5, 0.3j], [0.2 - 0.4j, 0.1], [0.45, -0.3 + 0.2j]])
+    state = gm.make_gw_state(3, 3, table / np.linalg.norm(table))
+    rho = gm.reduce(gm.to_state_vector(state), (1, 3))
+    params = UEParams(1.2, 0.4)
+    target = gm.f_qs(gm.pair_concurrence(state, (1,), (3,)), params)
+    assert gm.convex_roof_ue_rank2(rho, params, rng=10) == pytest.approx(target, abs=1e-10)
+
+
+def test_roof_sweep_cap_keeps_a_converged_restart():
+    # the eigendecomposition of a classical mixture is optimal, so restart 0
+    # stops at once while the random restarts are still moving at the cap
+    rho = gm.DensityMatrix((2, 2), np.diag([0.3, 0.0, 0.0, 0.7]))
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        roof = gm.convex_roof_ue_rank2(rho, P21, rng=11, max_sweeps=1)
+    assert roof == pytest.approx(gm.f_qs(0.0, P21), abs=1e-10)
