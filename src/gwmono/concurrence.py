@@ -34,6 +34,7 @@ from .states import (
     GWState,
     Partition,
     PureStateVector,
+    _excitation_slot,
     _kept_by_traced,
     _require_gw,
     _schmidt_spectrum,
@@ -163,48 +164,16 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _single_excitation_table(psi: PureStateVector) -> tuple[complex, list[np.ndarray]]:
-    """Vacuum amplitude and per-site excitation amplitudes of a W-class vector.
+def _block_excitation_vector(tensor: np.ndarray, block0: list[int]) -> np.ndarray:
+    """Unnormalised single-excitation vector of the sites ``block0`` in their local space.
 
-    Raises ``ValueError`` when the vector carries weight outside the
-    single-excitation-plus-vacuum subspace.
+    ``tensor`` holds the amplitudes with one axis per site; ``block0`` lists
+    sites 0-based.
     """
-    dims = psi.dims
-    n = len(dims)
-    strides = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-
-    vac = complex(psi.amps[0])
-    site_amps = []
-    weight = abs(vac) ** 2
-    for t in range(n):
-        amps_t = np.array([psi.amps[l * strides[t]] for l in range(1, dims[t])])
-        site_amps.append(amps_t)
-        weight += float(np.sum(np.abs(amps_t) ** 2))
-    if abs(weight - 1.0) > GW_FORM_TOL:
-        raise ValueError(
-            "vector carries weight outside the single-excitation-plus-vacuum "
-            f"subspace (missing {1.0 - weight:.3e}); not a W-class state"
-        )
-    return vac, site_amps
-
-
-def _block_excitation_vector(
-    block0: list[int], dims: tuple[int, ...], site_amps: list[np.ndarray]
-) -> np.ndarray:
-    """Unnormalised single-excitation vector of ``block0`` in its local space."""
-    block_dims = [dims[t] for t in block0]
-    vec = np.zeros(math.prod(block_dims), dtype=np.complex128)
-    stride = 1
-    strides = [0] * len(block0)
-    for i in range(len(block0) - 1, -1, -1):
-        strides[i] = stride
-        stride *= block_dims[i]
+    local = np.zeros([tensor.shape[t] for t in block0], dtype=np.complex128)
     for i, t in enumerate(block0):
-        for l in range(1, dims[t]):
-            vec[l * strides[i]] = site_amps[t][l - 1]
-    return vec
+        local[_excitation_slot(len(block0), i)] = tensor[_excitation_slot(tensor.ndim, t)]
+    return local.ravel()
 
 
 def _block_sites(
@@ -265,14 +234,23 @@ def gw_block_concurrence_oracle(
     is verified: any weight outside the four-dimensional effective subspace
     raises.
     """
-    p_sites, q_sites = _block_sites(block_p, block_q, psi.n_sites)
-    dims = psi.dims
-    _, site_amps = _single_excitation_table(psi)
+    n = psi.n_sites
+    p_sites, q_sites = _block_sites(block_p, block_q, n)
+    tensor = psi.amps.reshape(psi.dims)
+    weight = sum(
+        (float(np.sum(np.abs(tensor[_excitation_slot(n, t)]) ** 2)) for t in range(n)),
+        abs(complex(psi.amps[0])) ** 2,
+    )
+    if abs(weight - 1.0) > GW_FORM_TOL:
+        raise ValueError(
+            "vector carries weight outside the single-excitation-plus-vacuum "
+            f"subspace (missing {1.0 - weight:.3e}); not a W-class state"
+        )
 
     p0 = [s - 1 for s in p_sites]
     q0 = [s - 1 for s in q_sites]
-    e_p = _block_excitation_vector(p0, dims, site_amps)
-    e_q = _block_excitation_vector(q0, dims, site_amps)
+    e_p = _block_excitation_vector(tensor, p0)
+    e_q = _block_excitation_vector(tensor, q0)
     x_p = float(np.linalg.norm(e_p))
     x_q = float(np.linalg.norm(e_q))
     if x_p**2 < _ZERO_WEIGHT or x_q**2 < _ZERO_WEIGHT:

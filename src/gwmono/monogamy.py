@@ -301,75 +301,48 @@ def chained_lower_bound(
         pair_sq = pair[t - 1] ** 2
         next_sq = tail[t] ** 2
         this_sq = tail[t - 1] ** 2
+        # the pair dominates the tail up to step k and the tail the pair after it
         if t <= k:
-            cap = math.inf if pair_sq == 0.0 else 1.0 + mu_t * next_sq / pair_sq
-            hypotheses.extend(
-                [
-                    Hypothesis(
-                        f"pair_dominates_tail[{t}]",
-                        pair_sq >= h_t * next_sq - _HYP_SLACK,
-                        f"pair^2={pair_sq!r}, h*tail^2={h_t * next_sq!r}",
-                    ),
-                    Hypothesis(
-                        f"tail_decomposition[{t}]",
-                        this_sq >= pair_sq + mu_t * next_sq - _HYP_SLACK,
-                        f"tail^2={this_sq!r} vs {pair_sq + mu_t * next_sq!r}",
-                    ),
-                    Hypothesis(
-                        f"p_in_admissible_range[{t}]",
-                        1.0 - _HYP_SLACK <= p_t <= cap + _HYP_SLACK,
-                        f"p={p_t}, admissible [1, {cap!r}]",
-                    ),
-                ]
-            )
+            big, small, big_sq, small_sq = "pair", "tail", pair_sq, next_sq
         else:
-            cap = math.inf if next_sq == 0.0 else mu_t * pair_sq / next_sq
-            hypotheses.extend(
-                [
-                    Hypothesis(
-                        f"tail_dominates_pair[{t}]",
-                        next_sq >= h_t * pair_sq - _HYP_SLACK,
-                        f"tail^2={next_sq!r}, h*pair^2={h_t * pair_sq!r}",
-                    ),
-                    Hypothesis(
-                        f"tail_decomposition[{t}]",
-                        this_sq >= mu_t * pair_sq + next_sq - _HYP_SLACK,
-                        f"tail^2={this_sq!r} vs {mu_t * pair_sq + next_sq!r}",
-                    ),
-                    Hypothesis(
-                        f"p_in_admissible_range[{t}]",
-                        1.0 - _HYP_SLACK <= p_t <= cap + _HYP_SLACK,
-                        f"p={p_t}, admissible [1, {cap!r}]",
-                    ),
-                ]
-            )
+            big, small, big_sq, small_sq = "tail", "pair", next_sq, pair_sq
+        ratio = math.inf if big_sq == 0.0 else mu_t * small_sq / big_sq
+        cap = 1.0 + ratio if t <= k else ratio
+        hypotheses.extend(
+            [
+                Hypothesis(
+                    f"{big}_dominates_{small}[{t}]",
+                    big_sq >= h_t * small_sq - _HYP_SLACK,
+                    f"{big}^2={big_sq!r}, h*{small}^2={h_t * small_sq!r}",
+                ),
+                Hypothesis(
+                    f"tail_decomposition[{t}]",
+                    this_sq >= big_sq + mu_t * small_sq - _HYP_SLACK,
+                    f"tail^2={this_sq!r} vs {big_sq + mu_t * small_sq!r}",
+                ),
+                Hypothesis(
+                    f"p_in_admissible_range[{t}]",
+                    1.0 - _HYP_SLACK <= p_t <= cap + _HYP_SLACK,
+                    f"p={p_t}, admissible [1, {cap!r}]",
+                ),
+            ]
+        )
     _require(hypotheses)
 
     half = alpha / 2.0
-    gammas = [
-        (mus[t] + hs[t]) ** half - ps[t] ** (half - 1.0) * hs[t] ** half
-        for t in range(r - 2)
-    ]
-
-    def gamma_prod(upto: int) -> float:  # product of gammas for steps 1..upto
-        out = 1.0
-        for t in range(upto):
-            out *= gammas[t]
-        return out
-
-    bound = ps[0] ** (half - 1.0) * pair[0] ** alpha
-    for i in range(2, k + 1):
-        bound += gamma_prod(i - 1) * ps[i - 1] ** (half - 1.0) * pair[i - 1] ** alpha
-    bound += gamma_prod(k + 1) * pair[k] ** alpha
-    for j in range(k + 2, r - 1):
-        p_run = 1.0
-        for l in range(k + 1, j):
-            p_run *= ps[l - 1] ** (half - 1.0)
-        bound += gamma_prod(k) * p_run * gammas[j - 1] * pair[j - 1] ** alpha
-    p_all = 1.0
-    for l in range(k + 1, r - 1):
-        p_all *= ps[l - 1] ** (half - 1.0)
-    bound += gamma_prod(k) * p_all * pair[r - 2] ** alpha
+    bound = -0.0  # -0.0 + x is x bit for bit, so the first term enters unchanged
+    lead = 1.0  # product of the step weights gamma_1 .. gamma_{min(t-1, k)}
+    run = 1.0  # product of p_l^(alpha/2 - 1) over the steps l = k+1 .. t-1
+    for t in range(1, r - 1):
+        p_pow = ps[t - 1] ** (half - 1.0)
+        gamma = (mus[t - 1] + hs[t - 1]) ** half - p_pow * hs[t - 1] ** half
+        if t <= k:
+            bound += lead * p_pow * pair[t - 1] ** alpha
+            lead *= gamma
+        else:
+            bound += lead * run * gamma * pair[t - 1] ** alpha
+            run *= p_pow
+    bound += lead * run * pair[r - 2] ** alpha
     return bound, tuple(hypotheses)
 
 

@@ -263,23 +263,29 @@ def _require_gw(state: GWState) -> None:
         raise TypeError(f"expected GWState, got {type(state).__name__}")
 
 
-def to_state_vector(state: GWState, *, amplitude_cap: int = AMPLITUDE_CAP) -> PureStateVector:
-    """Materialise the dense amplitude vector of a GW or GWV state."""
+def _excitation_slot(n_sites: int, site0: int) -> tuple:
+    """Index of site ``site0`` (0-based) at levels 1.., all others at 0, in a per-site tensor."""
+    return tuple(slice(1, None) if s == site0 else 0 for s in range(n_sites))
+
+
+def to_state_vector(state: GWState) -> PureStateVector:
+    """Materialise the dense amplitude vector of a GW or GWV state.
+
+    Raises ``ValueError`` when the vector would hold more than
+    ``AMPLITUDE_CAP`` amplitudes.
+    """
     _require_gw(state)
     n, d, p = state.n, state.d, state.vacuum_weight
     size = d**n
-    if size > amplitude_cap:
+    if size > AMPLITUDE_CAP:
         raise ValueError(
-            f"dense vector would need {size} amplitudes, above the cap of {amplitude_cap}"
+            f"dense vector would need {size} amplitudes, above the cap of {AMPLITUDE_CAP}"
         )
-    amps = np.zeros(size, dtype=np.complex128)
+    amps = np.zeros((d,) * n, dtype=np.complex128)
     scale = math.sqrt(p)
-    # the flat index of "site s at level i, all others 0" is i * d^(n-s)
     for s in range(n):
-        stride = d ** (n - 1 - s)
-        for i in range(1, d):
-            amps[i * stride] = scale * state.coeffs[s, i - 1]
-    amps[0] = math.sqrt(max(0.0, 1.0 - p))
+        amps[_excitation_slot(n, s)] = scale * state.coeffs[s]
+    amps[(0,) * n] = math.sqrt(max(0.0, 1.0 - p))
     return PureStateVector(dims=(d,) * n, amps=amps)
 
 

@@ -368,9 +368,10 @@ def convex_roof_ue_rank2(
     one trial point, with its probe points, per restart still searching.
     Every restart keeps its own schedule: a restart that halves its step
     shares the call with restarts that start their next iteration, so
-    none waits for another.  Restart 0 starts from the eigendecomposition
-    (all angles zero) and the others from angles drawn uniformly from
-    ``rng`` (seed or generator), so a fixed seed reproduces the result.
+    none waits for another.  ``restarts`` restarts start from angles drawn
+    uniformly from ``rng`` (seed or generator), so a fixed seed reproduces
+    the result, and one more from the eigendecomposition (all angles zero),
+    a stationary point on GW two-site reductions.
 
     A restart stops once the step it would take, after backtracking, is at
     most 1e-10 in every angle, or once an iteration lowers its value by no
@@ -424,7 +425,7 @@ def convex_roof_ue_rank2(
 
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     starts = np.vstack(
-        (np.zeros(n_angles), gen.uniform(0.0, 2.0 * math.pi, size=(restarts - 1, n_angles)))
+        (np.zeros(n_angles), gen.uniform(0.0, 2.0 * math.pi, size=(restarts, n_angles)))
     )
     values, converged = _bfgs_restarts(values_and_gradients, starts, max_sweeps)
     if not converged:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 import gwmono as gm
 
@@ -37,3 +39,32 @@ def random_partition(rng, n, min_blocks=2, max_blocks=4, subset_ok=True):
         blocks.append(tuple(int(x) for x in sites[start:c]))
         start = c
     return gm.Partition(tuple(blocks))
+
+
+# amplitude parts are exactly zero often enough to produce zero-weight blocks,
+# and otherwise far from the 1e-24 cut-off where the two routes round apart
+_part = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+_mixing = st.one_of(st.none(), st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def gw_states(draw):
+    """A GW state (``p`` None) or GWV state with n in 3..7 and d in 2..3."""
+    n = draw(st.integers(3, 7))
+    d = draw(st.integers(2, 3))
+    parts = draw(st.lists(_part, min_size=2 * n * (d - 1), max_size=2 * n * (d - 1)))
+    table = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    assume(np.linalg.norm(table) > 0.0)
+    gw = gm.make_gw_state(n, d, table.reshape(n, d - 1), renormalize=True)
+    p = draw(_mixing)
+    return gw if p is None else gm.make_gwv_state(gw, p)
+
+
+def state_payload(state):
+    """``state`` in the JSON schema of ``load_state_json``."""
+    return {
+        "n": state.n,
+        "d": state.d,
+        "coeffs": [[c.real, c.imag] for c in state.coeffs.ravel()],
+        "vacuum_weight": state.vacuum_weight,
+    }

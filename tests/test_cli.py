@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import gwmono as gm
 from gwmono.cli import DEFAULT_SEED, example1_state, main
+from conftest import gw_states, state_payload
 
 
 def run(args):
@@ -258,6 +259,48 @@ def test_check_random_never_confuses_refusals_and_violations(
         per_point = 1 if ineq == "squared" else len(alpha.split(","))
         calls = len(q.split(",")) * len(s.split(",")) * per_point
     assert summary["held"] + summary["refused"] + summary["violated"] == count * calls
+
+
+def _csv_stdout(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(args + ["--format", "csv"])
+    return code, list(csv.DictReader(io.StringIO(out.getvalue())))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(state=gw_states(), q=_sub_grid(["0.5", "1", "2", "5"]), s=_sub_grid(["0.3", "0.5", "1"]))
+def test_measure_rows_are_finite(tmp_path_factory, state, q, s):
+    path = tmp_path_factory.mktemp("state") / "state.json"
+    path.write_text(json.dumps(state_payload(state)))
+    args = ["measure", "--state", str(path), "--cut", "2", "--pairs", "--q", q, "--s", s]
+    code, rows = _csv_stdout(args)
+    assert code == 0 and rows
+    for row in rows:
+        for key in ("q", "s", "concurrence", "concurrence_sq", "ue"):
+            assert math.isfinite(float(row[key])), (key, row)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    ineq=st.sampled_from(["squared", "power", "tightened", "chained", "beta-lower", "beta-upper"]),
+    seed=st.integers(0, 2**16),
+    alpha=_sub_grid(["-1", "2", "3"]),
+    beta=_sub_grid(["0", "0.5", "1"]),
+)
+def test_check_rows_are_finite(ineq, seed, alpha, beta):
+    args = ["check", "--ineq", ineq, "--random", "2", "--seed", str(seed), "--q", "2,3"]
+    code, rows = _csv_stdout(args + ["--s", "0.5,1", f"--alpha={alpha}", "--beta", beta])
+    assert code in (0, 3, 4)
+    for row in rows:
+        for key in ("q", "s", "lhs", "rhs", "margin"):
+            assert math.isfinite(float(row[key])), (key, row)
+        # nan is only the placeholder of a parameter the inequality does not have
+        has_alpha = ineq not in ("squared", "beta-lower", "beta-upper")
+        has_beta = ineq in ("beta-lower", "beta-upper")
+        for key, present in (("alpha", has_alpha), ("beta", has_beta)):
+            value = float(row[key])
+            assert math.isfinite(value) if present else math.isnan(value), (key, row)
 
 
 def test_check_random_beta_honours_requested_sites(tmp_path, capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gwmono as gm
 from gwmono.monogamy import Hypothesis, HypothesisNotMet
 from gwmono.unified import UEParams
-from conftest import random_gw_state, random_partition
+from conftest import gw_states, random_gw_state, random_partition
 
 P21 = UEParams(2.0, 1.0)
 
@@ -390,3 +392,58 @@ def test_bound_comparison_series_ordering():
         assert row["exact"] >= row["tightened_p2.6"] - 1e-12
         assert row["tightened_p2.6"] >= row["tightened_p1.8"] - 1e-12
         assert row["tightened_p1.8"] >= row["baseline"] - 1e-12
+
+
+def _drawn_reports(state, data):
+    """Every checker on ``state`` with drawn blocks and parameters; refusals give no report."""
+    n = state.n
+    draw = data.draw
+    params = UEParams(draw(st.sampled_from([1.5, 2.0, 3.0])), draw(st.sampled_from([0.5, 1.0])))
+    alpha = draw(st.sampled_from([2.0, 3.0, -1.0]))
+
+    def partition(r):
+        sites = draw(st.permutations(range(1, n + 1)))
+        cut_at = st.lists(st.integers(1, n - 1), min_size=r - 1, max_size=r - 1, unique=True)
+        cuts = sorted(draw(cut_at))
+        return gm.Partition(tuple(tuple(sites[i:j]) for i, j in zip([0] + cuts, cuts + [n])))
+
+    site_a, site_b = draw(st.permutations(range(1, n + 1)))[:2]
+    beta, s = draw(st.floats(0.0, 1.0)), draw(st.sampled_from([0.5, 0.75, 1.0]))
+    m = draw(st.integers(1, n - 1))
+    cut = gm.BlockCut(n, m, draw(st.integers(1, m)), draw(st.integers(m + 1, n)))
+    ones = [1.0] * 2
+    calls = [
+        lambda: gm.check_squared_monogamy(state, partition(draw(st.integers(2, 3))), 0, params),
+        lambda: gm.check_power_monogamy(state, partition(3), 0, params, alpha),
+        lambda: gm.check_tightened(state, partition(3), params, 1.0, 1.0, 1.0, abs(alpha)),
+        lambda: gm.check_beta_lower_bound(state, site_a, site_b, beta, s),
+        lambda: gm.check_beta_upper_bound(state, site_a, site_b, beta, s),
+        lambda: gm.residual_chain_check(state, cut, params),
+    ]
+    if n >= 4:
+        calls.append(
+            lambda: gm.check_chained(state, partition(4), params, 1, ones, ones, ones, abs(alpha))
+        )
+    for call in calls:
+        try:
+            yield call()
+        except HypothesisNotMet:
+            continue
+        except ValueError as exc:  # a zero pair value under a negative power
+            assert "non-positive entanglement value" in str(exc)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(gw_states(), st.data())
+def test_margin_orientation(state, data):
+    # margin >= 0 means "holds" whatever the direction of the inequality
+    for report in _drawn_reports(state, data):
+        kind = report.inequality_id
+        if kind in ("squared", "power", "tightened", "chained", "beta-lower"):
+            assert report.margin == report.lhs - report.rhs
+        elif kind in ("power-reversed", "beta-upper"):
+            assert report.margin == report.rhs - report.lhs
+        else:
+            assert kind == "residual-chain"
+            gaps = report.params["block_residual"], report.params["refine_gap"]
+            assert report.margin == min(gaps)

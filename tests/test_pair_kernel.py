@@ -6,27 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gwmono as gm
+from conftest import gw_states
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
-
-# amplitude parts are exactly zero often enough to produce zero-weight blocks,
-# and otherwise far from the 1e-24 cut-off where the two routes round apart
-_part = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
-_mixing = st.one_of(st.none(), st.just(0.0), st.floats(1e-3, 1.0))
-
-
-@st.composite
-def gw_states(draw):
-    """A GW state (``p`` None) or GWV state with n in 3..7 and d in 2..3."""
-    n = draw(st.integers(3, 7))
-    d = draw(st.integers(2, 3))
-    parts = draw(st.lists(_part, min_size=2 * n * (d - 1), max_size=2 * n * (d - 1)))
-    table = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
-    assume(np.linalg.norm(table) > 0.0)
-    gw = gm.make_gw_state(n, d, table.reshape(n, d - 1), renormalize=True)
-    p = draw(_mixing)
-    return gw if p is None else gm.make_gwv_state(gw, p)
-
 
 @st.composite
 def states_and_blocks(draw):

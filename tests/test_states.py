@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import gwmono as gm
-from conftest import random_gw_state
+from conftest import gw_states, random_gw_state, state_payload
 
 
 def test_make_gw_state_uniform_six():
@@ -139,13 +141,13 @@ def test_to_state_vector_positions(example1):
     assert qutrit.amps[2 * 9] == pytest.approx(1.0)
 
 
-def test_to_state_vector_size_cap():
-    st = gm.uniform_w_state(25)
-    with pytest.raises(ValueError, match="cap"):
-        gm.to_state_vector(st)
-    # a custom cap lets the same state through
-    vec = gm.to_state_vector(st, amplitude_cap=2**25)
-    assert vec.amps.size == 2**25
+def test_to_state_vector_size_cap(monkeypatch):
+    with pytest.raises(ValueError, match="cap of 16777216"):
+        gm.to_state_vector(gm.uniform_w_state(25))
+    monkeypatch.setattr(gm.states, "AMPLITUDE_CAP", 2**10)
+    assert gm.to_state_vector(gm.uniform_w_state(10)).amps.size == 2**10
+    with pytest.raises(ValueError, match="cap of 1024"):
+        gm.to_state_vector(gm.uniform_w_state(11))
 
 
 def test_reduce_keep_all_is_projector(example1_vec):
@@ -258,7 +260,7 @@ def test_state_json_roundtrip(tmp_path, example1):
         "coeffs": [[math.sqrt(0.5), 0.0], [0.5, 0.0], [0.4, 0.0], [0.3, 0.0]],
     }
     path = tmp_path / "state.json"
-    path.write_text(__import__("json").dumps(payload))
+    path.write_text(json.dumps(payload))
     st = gm.load_state_json(path)
     assert isinstance(st, gm.GWState)
     assert np.allclose(st.coeffs, example1.coeffs)
@@ -267,6 +269,18 @@ def test_state_json_roundtrip(tmp_path, example1):
     gwv = gm.load_state_json(payload)
     assert gwv == gm.make_gwv_state(st, 0.25)
     assert gwv.vacuum_weight == 0.25
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(gw_states())
+def test_state_json_roundtrip_property(state):
+    back = gm.load_state_json(json.loads(json.dumps(state_payload(state))))
+    assert (back.n, back.d, back.vacuum_weight) == (state.n, state.d, state.vacuum_weight)
+    # loading renormalises, and a table normalised once has a norm within a
+    # few ulps of 1, so each amplitude may move by a few ulps
+    assert np.max(np.abs(back.coeffs - state.coeffs)) <= 4 * np.finfo(float).eps
+    if np.linalg.norm(state.coeffs) == 1.0:
+        assert back == state
 
 
 def test_state_json_malformed():

@@ -404,12 +404,23 @@ def _generic_rank2(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_roof_single_restart(seed):
-    # the one restart starts from the eigendecomposition; on a generic
-    # two-qubit state that is no stationary point, so it reaches the roof
+    # one random restart runs beside the eigendecomposition start, which on
+    # a generic two-qubit state is no stationary point either
     rho = _generic_rank2(seed)
     params = UEParams(2.0, 0.6)
     target = gm.f_qs(gm.wootters_concurrence(rho), params)
     assert gm.convex_roof_ue_rank2(rho, params, restarts=1) == pytest.approx(target, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_roof_single_restart_leaves_the_stationary_start(example1_vec, seed):
+    # the eigendecomposition of a GW two-site reduction is a stationary point
+    # above the roof, so the one requested restart must start elsewhere
+    rho = gm.reduce(example1_vec, (1, 2))
+    target = gm.f_qs(gm.wootters_concurrence(rho), P21)
+    assert target == pytest.approx(0.25, abs=1e-12)
+    roof = gm.convex_roof_ue_rank2(rho, P21, restarts=1, rng=seed)
+    assert roof == pytest.approx(target, abs=1e-10)
 
 
 @pytest.mark.parametrize("size", [2, 3])
@@ -431,8 +442,8 @@ def test_roof_qutrit_reduction():
 
 
 def test_roof_sweep_cap_keeps_a_converged_restart():
-    # the eigendecomposition of a classical mixture is optimal, so restart 0
-    # stops at once while the random restarts are still moving at the cap
+    # the eigendecomposition of a classical mixture is optimal, so the restart
+    # started there stops at once while the random ones still move at the cap
     rho = gm.DensityMatrix((2, 2), np.diag([0.3, 0.0, 0.0, 0.7]))
     with pytest.warns(RuntimeWarning, match="sweep cap"):
         roof = gm.convex_roof_ue_rank2(rho, P21, rng=11, max_sweeps=1)
