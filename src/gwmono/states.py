@@ -363,7 +363,13 @@ def load_state_json(source: Union[str, Path, dict]) -> GWState:
         flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"coefficients must be [re, im] pairs: {exc}") from exc
-    gw = make_gw_state(n, d, flat.reshape(n, d - 1))
+    table = flat.reshape(n, d - 1)
+    # a table dumped from a normalised state has a norm within a few ulps of
+    # 1; dividing by it would move last bits, so such a table is taken as is
+    if abs(float(np.linalg.norm(table)) - 1.0) <= 4 * np.finfo(float).eps:
+        gw = GWState(n=n, d=d, coeffs=table)
+    else:
+        gw = make_gw_state(n, d, table)
     if "vacuum_weight" in payload and payload["vacuum_weight"] is not None:
         return make_gwv_state(gw, _json_number(payload["vacuum_weight"], "vacuum_weight"))
     return gw

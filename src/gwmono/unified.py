@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -173,6 +173,22 @@ def _entropy_rows(lams: np.ndarray, params: UEParams) -> np.ndarray:
     return values + 0.0  # as in _f_from_u: no -0.0 for a pure spectrum
 
 
+def _entropy_slope(lam_lo: np.ndarray, lam_hi: np.ndarray, params: UEParams) -> np.ndarray:
+    """``dE/dlam_lo`` of a two-level spectrum ``(lam_hi, lam_lo)``, ``0 < lam_lo <= lam_hi``.
+
+    The derivative of :func:`_entropy_rows` along ``lam_hi = 1 - lam_lo``,
+    in the same four regimes.
+    """
+    if params.regime == "q_near_1":
+        return np.log(lam_hi / lam_lo)
+    q = params.q
+    slope = q * (lam_lo ** (q - 1.0) - lam_hi ** (q - 1.0)) / (1.0 - q)
+    if params.regime == "s_near_1":
+        return slope
+    s = 0.0 if params.regime == "s_near_0" else params.s
+    return slope * (lam_lo**q + lam_hi**q) ** (s - 1.0)
+
+
 def unified_entropy(rho: DensityMatrix, params: UEParams) -> float:
     """Unified (q, s) entropy of a density matrix, in nats."""
     return float(_entropy_rows(rho.spectrum()[None, :], params)[0])
@@ -199,152 +215,66 @@ def ue_gw_reduced(concurrence: float, params: UEParams) -> float:
     return f_qs(concurrence, params)
 
 
-_FD_STEP = 1e-5  # central-difference step on the angles
-_PROBE_TURN = complex(math.cos(_FD_STEP), math.sin(_FD_STEP))  # exp(i h), h = _FD_STEP
 _ARMIJO = 1e-4  # fraction of the predicted decrease a step must realise
 _BACKTRACK = 0.5  # step shrink factor when a step falls short
-_GAIN_TOL = 1e-12  # an iteration lowering the value by no more than this ends the restart
-_STEP_TOL = 1e-10  # a step no longer than this in every coordinate ends the restart
+_BB_MIN, _BB_MAX = 1e-10, 1e10  # Barzilai-Borwein step lengths are clipped to this range
+_GRAD_TOL = 1e-11  # a gradient norm at most this times the start value ends the restart
+_GAIN_TOL = 1e-15  # an accepted step gaining at most this times the start value ends it too
+_STEP_TOL = 1e-10  # a step no longer than this ends the restart
+_STALL_CALLS = 50  # the solve ends once the best value has gained at most
+_STALL_TOL = 1e-9  # this fraction of itself over the last _STALL_CALLS calls
 
 
-def _probe_values(x: np.ndarray, source: np.ndarray, m: int, params: UEParams) -> np.ndarray:
-    """Average member entanglement at each row of ``x`` and at its central-difference probes.
+def _decomposition_values(
+    u: np.ndarray, source: np.ndarray, params: UEParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Average member entanglement of each isometry in ``u``, with its gradient.
 
-    Row ``b`` of the ``(batch, 2 n + 1)`` result holds the value at ``x[b]``,
-    then at ``x[b] + h e_a`` for each of the ``n`` angles ``a``, then at
-    ``x[b] - h e_a``, with ``h = _FD_STEP``.  A row of angles holds, for every
-    pair ``i < j`` in order, a Givens rotation angle and its phase, followed
-    by ``r - 1`` phases on columns ``1..r-1`` of the ``(m, r)`` isometry.
-    ``source`` is the ``(r, 4)`` stack of weighted eigenvectors written as
-    flattened 2x2 matrices on the effective support, so each member's
-    Schmidt spectrum follows from its weight and determinant.
-
-    A probe moves one angle, so its cosines and sines come from the base
-    point's by the angle-addition formulas; points sit innermost in every
-    array, and rows of the isometry that are still zero are not rotated.
+    ``u`` is a ``(batch, m, r)`` stack and ``source`` the ``(r, 4)`` stack of
+    weighted eigenvectors written as flattened 2x2 matrices on the effective
+    support.  Member ``k`` is ``M_k = sum_j u[k, j] source[j]``, with weight
+    ``w = |M_k|^2``, determinant ``D``, ``t = |D|^2`` and ``g = sqrt(w^2 -
+    4 t)``; its Schmidt spectrum is ``((w + g) / 2w, 2 t / (w (w + g)))``,
+    so the small eigenvalue does not cancel.  Returns the values ``sum_k w_k
+    E(lam_k)`` and their Wirtinger gradients ``G`` with respect to
+    ``conj(u)``: along a direction ``V`` the value changes at the rate
+    ``2 Re <G, V>``.
     """
-    batch, n = x.shape
-    r = source.shape[0]
-    n_points = 2 * n + 1
-    base = np.cos(x.T) + 1j * np.sin(x.T)  # (angle, batch)
-    a = np.arange(n)
-    z = np.repeat(base[:, :, None], n_points, axis=2)  # (angle, batch, probe)
-    z[a, :, 1 + a] = base * _PROBE_TURN
-    z[a, :, 1 + n + a] = base * _PROBE_TURN.conjugate()
-    z = z.reshape(n, -1)  # cos + i sin of every angle at every point
-
-    n_rot = m * (m - 1)
-    cos_rot = z[0:n_rot:2].real
-    sin_phase = z[0:n_rot:2].imag * z[1:n_rot:2]
-    minus_conj = -sin_phase.conj()
-    # the column phases commute with the row rotations, so they start on the rows
-    rows: list[Optional[np.ndarray]] = [None] * m  # None: a row still known to be zero
-    for k in range(r):
-        rows[k] = np.zeros((r, z.shape[1]), dtype=np.complex128)
-        rows[k][k] = 1.0 if k == 0 else z[n_rot + k - 1]
-    k = 0
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            if rows[j] is None:
-                rows[i], rows[j] = cos_rot[k] * rows[i], minus_conj[k] * rows[i]
-            else:
-                rows[i], rows[j] = (
-                    cos_rot[k] * rows[i] + sin_phase[k] * rows[j],
-                    cos_rot[k] * rows[j] + minus_conj[k] * rows[i],
-                )
-            k += 1
-    members = source.T @ np.stack(rows)  # (m, 4, points), unnormalised
-    weights = np.sum(members.real**2 + members.imag**2, axis=1)
-    dets = members[:, 0] * members[:, 3] - members[:, 1] * members[:, 2]
-    gap = np.sqrt(np.clip(weights**2 - 4.0 * (dets.real**2 + dets.imag**2), 0.0, None))
-    live = weights > 1e-14
-    w = np.where(live, weights, 1.0)
-    lams = np.stack(((w + gap) / (2.0 * w), (w - gap) / (2.0 * w)), axis=-1)
-    values = _entropy_rows(lams.reshape(-1, 2), params).reshape(weights.shape)
-    return np.sum(np.where(live, weights * values, 0.0), axis=0).reshape(batch, n_points)
+    members = u @ source
+    w = np.sum(members.real**2 + members.imag**2, axis=-1)
+    det = members[..., 0] * members[..., 3] - members[..., 1] * members[..., 2]
+    t = det.real**2 + det.imag**2
+    gap = np.sqrt(np.clip(w**2 - 4.0 * t, 0.0, None))
+    live = w > 0.0
+    w = np.where(live, w, 1.0)
+    lam_hi = (w + gap) / (2.0 * w)
+    lam_lo = 2.0 * t / (w * (w + gap))
+    spectra = np.stack((lam_hi, lam_lo), axis=-1).reshape(-1, 2)
+    entropy = np.where(live, _entropy_rows(spectra, params).reshape(w.shape), 0.0)
+    # dF/dt = e / g and dF/dw = E - 2 t dF/dt / w with e = dE/dlam_lo; the
+    # t term is taken as 0 where t = 0 or g = 0
+    smooth = (t > 0.0) & (gap > 0.0)
+    d_t = np.zeros_like(t)
+    d_t[smooth] = _entropy_slope(lam_lo[smooth], lam_hi[smooth], params) / gap[smooth]
+    d_w = entropy - 2.0 * t * d_t / w
+    cofactors = np.stack(
+        (members[..., 3], -members[..., 2], -members[..., 1], members[..., 0]), axis=-1
+    )
+    grads = d_w[..., None] * members + (d_t * det)[..., None] * cofactors.conj()
+    return np.sum(w * entropy, axis=-1), grads @ source.conj().T
 
 
-def _bfgs_restarts(
-    values_and_gradients: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    x: np.ndarray,
-    max_iter: int,
-) -> tuple[np.ndarray, bool]:
-    """Minimise from every row of ``x`` with BFGS and Armijo backtracking.
+def _orthonormal(x: np.ndarray) -> np.ndarray:
+    """Q factor of each matrix in ``x``, with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(x)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
-    ``values_and_gradients`` maps a ``(batch, n)`` array of points to their
-    values and gradients.  Each call evaluates one trial point per restart
-    still open, whether that restart starts an iteration or halves the step
-    of one that fell short, so no restart waits while others backtrack.
-    Before its first BFGS update, and after each reset to steepest descent,
-    a restart's identity inverse Hessian is scaled by ``s.y / y.y``
-    (Shanno-Phua).  A restart stops once its step, after backtracking, is
-    at most ``_STEP_TOL`` in every coordinate, or once an accepted step gains
-    no more than ``_GAIN_TOL``.  ``x`` is updated in place; returns the final
-    values and whether every restart stopped within ``max_iter`` accepted
-    iterations.
-    """
-    n_restarts, n = x.shape
-    f, g = values_and_gradients(x)
-    inv_hess = np.tile(np.eye(n), (n_restarts, 1, 1))
-    unscaled = np.ones(n_restarts, dtype=bool)  # inverse Hessian is still the plain identity
-    direction, slope, scale = np.empty_like(x), np.empty(n_restarts), np.ones(n_restarts)
-    iterations = np.zeros(n_restarts, dtype=int)
-    is_open = np.full(n_restarts, max_iter > 0)
-    capped = max_iter <= 0
-    new = np.arange(n_restarts)  # restarts that start an iteration with the next trial
-    while True:
-        if new.size:
-            d = -np.einsum("aij,aj->ai", inv_hess[new], g[new])
-            sl = np.einsum("ai,ai->a", g[new], d)
-            uphill = sl >= 0.0
-            if uphill.any():  # stale curvature estimate: restart from steepest descent
-                inv_hess[new[uphill]] = np.eye(n)
-                unscaled[new[uphill]] = True
-                d[uphill] = -g[new[uphill]]
-                sl[uphill] = -np.einsum("ai,ai->a", d[uphill], d[uphill])
-            direction[new], slope[new], scale[new] = d, sl, 1.0
 
-        trying = np.flatnonzero(is_open)
-        step = scale[trying, None] * direction[trying]
-        big = np.max(np.abs(step), axis=1) > _STEP_TOL
-        if not big.all():
-            is_open[trying[~big]] = False
-            trying, step = trying[big], step[big]
-        if not trying.size:
-            return f, not capped
-        f_new, g_new = values_and_gradients(x[trying] + step)
-        f_old = f[trying]
-        # strict decrease too: near the minimum the Armijo margin rounds away
-        ok = (f_new <= f_old + _ARMIJO * scale[trying] * slope[trying]) & (f_new < f_old)
-        scale[trying[~ok]] *= _BACKTRACK
-        new, s, f_new, g_new, f_old = trying[ok], step[ok], f_new[ok], g_new[ok], f_old[ok]
-        y = g_new - g[new]
-        sy = np.einsum("ai,ai->a", s, y)
-        yy = np.einsum("ai,ai->a", y, y)
-        # BFGS update of the inverse Hessian where the curvature condition holds
-        curved = sy > 1e-8 * np.sqrt(np.einsum("ai,ai->a", s, s) * yy)
-        if curved.any():
-            upd, s, y, sy, yy = new[curved], s[curved], y[curved], sy[curved], yy[curved]
-            h = inv_hess[upd]
-            first = unscaled[upd]  # Shanno-Phua: start from the identity times s.y / y.y
-            h[first] *= (sy[first] / yy[first])[:, None, None]
-            unscaled[upd] = False
-            hy = np.einsum("aij,aj->ai", h, y)
-            hys = hy[:, :, None] * s[:, None, :]
-            inv_hess[upd] = (
-                h
-                + ((sy + np.einsum("ai,ai->a", y, hy)) / sy**2)[:, None, None]
-                * (s[:, :, None] * s[:, None, :])
-                - (hys + hys.transpose(0, 2, 1)) / sy[:, None, None]
-            )
-        x[new] += step[ok]
-        f[new], g[new] = f_new, g_new
-        iterations[new] += 1
-        moving = f_old - f_new > _GAIN_TOL
-        at_cap = iterations[new] >= max_iter
-        capped |= bool((moving & at_cap).any())
-        is_open[new[~moving | at_cap]] = False
-        new = new[moving & ~at_cap]
+def _tangent(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Project gradients onto the tangent space of the isometries: ``G - U sym(U^H G)``."""
+    inner = np.conj(np.swapaxes(u, -1, -2)) @ grads
+    return grads - u @ (inner + np.conj(np.swapaxes(inner, -1, -2))) / 2.0
 
 
 def convex_roof_ue_rank2(
@@ -359,28 +289,38 @@ def convex_roof_ue_rank2(
     """Numerically minimise the average pure-state unified entanglement.
 
     Searches over pure-state decompositions of a rank-<=-2 two-subsystem
-    density matrix with up to ``decomposition_size`` elements, parametrised
-    by Givens angles acting on the eigenvector weights.  Each restart is a
-    BFGS quasi-Newton descent with Armijo backtracking on central-difference
-    gradients; its identity inverse Hessian is scaled by ``s.y / y.y``
-    before its first update and after each reset to steepest descent
-    (Shanno-Phua).  Each objective evaluation is one batched call holding
-    one trial point, with its probe points, per restart still searching.
-    Every restart keeps its own schedule: a restart that halves its step
-    shares the call with restarts that start their next iteration, so
-    none waits for another.  ``restarts`` restarts start from angles drawn
-    uniformly from ``rng`` (seed or generator), so a fixed seed reproduces
-    the result, and one more from the eigendecomposition (all angles zero),
-    a stationary point on GW two-site reductions.
+    density matrix with up to ``m = decomposition_size`` elements.  A
+    decomposition is an isometry ``U`` (``m x r``, ``U^H U = I``) acting on
+    the ``r`` weighted eigenvectors; member ``k`` is ``M_k = sum_j U_kj S_j``
+    on the 2x2 effective support, and the value is ``sum_k w_k E(lam_k)``
+    with ``w_k = |M_k|^2`` and the Schmidt spectrum ``lam_k`` from ``w_k`` and
+    ``|det M_k|^2``, computed from reduced spectra directly, independent of
+    the analytic concurrence map this oracle is typically used to check.
 
-    A restart stops once the step it would take, after backtracking, is at
-    most 1e-10 in every angle, or once an iteration lowers its value by no
-    more than 1e-12.  ``max_sweeps`` caps each restart's accepted
-    quasi-Newton iterations; a ``RuntimeWarning`` is emitted if any restart
-    is still moving there, and the best value reached so far is returned.
-    The average entanglement of each candidate decomposition is computed
-    from reduced spectra directly, independent of the analytic concurrence
-    map this oracle is typically used to check.
+    The gradient is closed-form (Wirtinger derivatives of ``w_k`` and
+    ``|det M_k|^2`` with the slope of the entropy in each regime), projected
+    onto the tangent space ``G - U sym(U^H G)``; each step moves against it
+    and retracts onto the isometries by QR (Riemannian descent on the
+    Stiefel manifold; Wen & Yin, Math. Program. 142, 397 (2013)).  Step
+    lengths are Barzilai-Borwein, long and short in turn, clipped to
+    [1e-10, 1e10]; a step is accepted when it realises 1e-4 of its predicted
+    decrease and lowers the value strictly, and is halved otherwise.  All
+    restarts share each batched evaluation, each on its own schedule.
+    ``restarts`` restarts start from Haar-random isometries (QR of a complex
+    Gaussian drawn from ``rng``, seed or generator, so a fixed seed
+    reproduces the result), and one more from the eigendecomposition
+    ``U = [I; 0]``, a stationary point on GW two-site reductions.
+
+    The stops are relative to ``scale``, the eigendecomposition's value,
+    an upper bound on the roof.  A restart ends once its gradient norm is at
+    most 1e-11 ``scale``, once an accepted step gains at most 1e-15
+    ``scale``, or once its step is at most 1e-10 long.  The solve ends when
+    every restart has, or once the best value has gained at most 1e-9 of
+    itself over the last 50 evaluations, which only cuts slow crawls toward
+    the non-smooth minima at ``q <= 1/2``.  ``max_sweeps`` caps each
+    restart's accepted iterations; a ``RuntimeWarning`` is emitted if any
+    restart is still moving there, and the best value reached so far is
+    returned.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -416,19 +356,50 @@ def convex_roof_ue_rank2(
     if m < r:
         raise ValueError(f"decomposition size {m} below state rank {r}")
 
-    n_angles = m * (m - 1) + (r - 1)
-
-    def values_and_gradients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals = _probe_values(x, compact, m, params)
-        grads = (vals[:, 1 : n_angles + 1] - vals[:, n_angles + 1 :]) / (2.0 * _FD_STEP)
-        return vals[:, 0], grads
-
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    starts = np.vstack(
-        (np.zeros(n_angles), gen.uniform(0.0, 2.0 * math.pi, size=(restarts, n_angles)))
-    )
-    values, converged = _bfgs_restarts(values_and_gradients, starts, max_sweeps)
-    if not converged:
+    gauss = gen.standard_normal((2, restarts, m, r))
+    u = np.concatenate((np.eye(m, r)[None], _orthonormal(gauss[0] + 1j * gauss[1])))
+    values, grads = _decomposition_values(u, compact, params)
+    grads = _tangent(u, grads)
+    norms = np.linalg.norm(grads, axis=(1, 2))
+    scale = values[0]
+    steps = 1.0 / np.clip(norms, _BB_MIN, _BB_MAX)  # a first step of unit length
+    iterations = np.zeros(len(u), dtype=int)
+    is_open = (norms > _GRAD_TOL * scale) & (max_sweeps > 0)
+    capped = max_sweeps <= 0
+    best = [np.min(values)]  # the best value after each evaluation
+    while True:
+        trying = np.flatnonzero(is_open)
+        short = steps[trying] * norms[trying] <= _STEP_TOL
+        is_open[trying[short]] = False
+        trying = trying[~short]
+        if not trying.size:
+            break
+        trial = _orthonormal(u[trying] - steps[trying, None, None] * grads[trying])
+        trial_values, trial_grads = _decomposition_values(trial, compact, params)
+        gains = values[trying] - trial_values
+        # strict decrease too: near the minimum the Armijo margin rounds away
+        ok = (gains >= 2.0 * _ARMIJO * steps[trying] * norms[trying] ** 2) & (gains > 0.0)
+        steps[trying[~ok]] *= _BACKTRACK
+        new, gains, trial = trying[ok], gains[ok], trial[ok]
+        new_grads = _tangent(trial, trial_grads[ok])
+        ds, dg = trial - u[new], new_grads - grads[new]
+        ss = np.sum(ds.real**2 + ds.imag**2, axis=(1, 2))
+        sg = np.maximum(np.abs(np.sum((ds.conj() * dg).real, axis=(1, 2))), 1e-300)
+        gg = np.maximum(np.sum(dg.real**2 + dg.imag**2, axis=(1, 2)), 1e-300)
+        iterations[new] += 1
+        bb = np.where(iterations[new] % 2 == 1, ss / sg, sg / gg)  # long, then short
+        steps[new] = np.clip(bb, _BB_MIN, _BB_MAX)
+        u[new], values[new], grads[new] = trial, trial_values[ok], new_grads
+        norms[new] = np.linalg.norm(new_grads, axis=(1, 2))
+        done = (gains <= _GAIN_TOL * scale) | (norms[new] <= _GRAD_TOL * scale)
+        at_cap = iterations[new] >= max_sweeps
+        capped |= bool((at_cap & ~done).any())
+        is_open[new[done | at_cap]] = False
+        best.append(np.min(values))
+        if len(best) > _STALL_CALLS and best[-1 - _STALL_CALLS] - best[-1] <= _STALL_TOL * best[-1]:
+            break
+    if capped:
         warnings.warn(
             "decomposition search hit the sweep cap before reaching step tolerance",
             RuntimeWarning,

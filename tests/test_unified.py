@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gwmono as gm
-from gwmono.unified import _FD_STEP, UEParams, _entropy_rows, _probe_values
+from gwmono.unified import UEParams, _decomposition_values, _entropy_rows
 from conftest import random_gw_state
 
 P21 = UEParams(2.0, 1.0)
@@ -335,26 +334,13 @@ def _reference_entropy(lams, params):
     return (power_sum**s - 1.0) / ((1.0 - q) * s)
 
 
-def _reference_decomposition_value(angles, source, m, params):
-    """Plain Givens product, then each member's Schmidt spectrum from an SVD."""
-    r = source.shape[0]
-    iso = np.eye(m, r, dtype=complex)
-    k = 0
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            theta, phi = angles[2 * k], angles[2 * k + 1]
-            givens = np.eye(m, dtype=complex)
-            givens[i, i] = givens[j, j] = math.cos(theta)
-            givens[i, j] = math.sin(theta) * cmath.exp(1j * phi)
-            givens[j, i] = -math.sin(theta) * cmath.exp(-1j * phi)
-            iso = givens @ iso
-            k += 1
-    iso = iso @ np.diag(np.exp(1j * np.concatenate(([0.0], angles[m * (m - 1) :]))))
+def _reference_decomposition_value(iso, source, params):
+    """Each member of the isometry's decomposition, its Schmidt spectrum from an SVD."""
     total = 0.0
     for member in iso @ source:
         sv2 = np.linalg.svd(member.reshape(2, 2), compute_uv=False) ** 2
         weight = float(np.sum(sv2))
-        if weight > 1e-14:
+        if weight > 0.0:
             total += weight * _reference_entropy(sv2 / weight, params)
     return total
 
@@ -369,29 +355,55 @@ _regime_params = st.one_of(
 )
 
 
+def _complex_array(data, shape):
+    parts = data.draw(st.lists(_unit, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
+    return (np.array(parts[0::2]) + 1j * np.array(parts[1::2])).reshape(shape)
+
+
+def _isometries(data, batch, m, r):
+    """Isometries from the QR of drawn complex matrices, kept away from rank loss."""
+    z = _complex_array(data, (batch, m, r)) + np.eye(m, r)
+    return np.linalg.qr(z)[0]
+
+
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(
-    m=st.integers(2, 4),
-    batch=st.integers(1, 3),
-    params=_regime_params,
-    data=st.data(),
-)
-def test_probe_values_match_reference(m, batch, params, data):
-    r = 2
-    n = m * (m - 1) + r - 1
-    angles = data.draw(
-        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=batch * n, max_size=batch * n)
-    )
-    parts = data.draw(st.lists(_unit, min_size=8 * r, max_size=8 * r))
-    source = (np.array(parts[0::2]) + 1j * np.array(parts[1::2])).reshape(r, 4)
-    x = np.array(angles).reshape(batch, n)
-    got = _probe_values(x, source, m, params)
-    assert got.shape == (batch, 2 * n + 1)
-    offsets = _FD_STEP * np.vstack((np.zeros(n), np.eye(n), -np.eye(n)))
+@given(m=st.integers(2, 4), batch=st.integers(1, 3), params=_regime_params, data=st.data())
+def test_decomposition_values_match_reference(m, batch, params, data):
+    source = _complex_array(data, (2, 4))
+    iso = _isometries(data, batch, m, 2)
+    got, grads = _decomposition_values(iso, source, params)
+    assert got.shape == (batch,) and grads.shape == iso.shape
     for b in range(batch):
-        for p, offset in enumerate(offsets):
-            want = _reference_decomposition_value(x[b] + offset, source, m, params)
-            assert abs(got[b, p] - want) <= 1e-13
+        assert abs(got[b] - _reference_decomposition_value(iso[b], source, params)) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(2, 4), params=_regime_params, data=st.data())
+def test_decomposition_gradient_matches_central_difference(m, params, data):
+    # along any direction V the value moves at 2 Re <G, V>; compared with a
+    # central difference relative to the largest rate, 2 |G| |V|
+    source = _complex_array(data, (2, 4))
+    iso = _isometries(data, 1, m, 2)
+    direction = _complex_array(data, (1, m, 2))
+    h = 1e-6
+    _, grads = _decomposition_values(iso, source, params)
+    rate = 2.0 * np.sum((grads.conj() * direction).real)
+    ahead, _ = _decomposition_values(iso + h * direction, source, params)
+    behind, _ = _decomposition_values(iso - h * direction, source, params)
+    scale = 2.0 * np.linalg.norm(grads) * np.linalg.norm(direction)
+    assert abs((ahead[0] - behind[0]) / (2.0 * h) - rate) <= 1e-6 * scale
+
+
+def test_decomposition_value_near_product_member():
+    # the small eigenvalue 1e-18 of diag(1, 1e-9) would round to 0 as
+    # (w - g) / 2w, and at q < 1 it carries most of the entropy
+    params = UEParams(0.3, 0.5)
+    source = np.array([[1.0, 0.0, 0.0, 1e-9]], dtype=complex)
+    value, _ = _decomposition_values(np.ones((1, 1, 1), dtype=complex), source, params)
+    weight = 1.0 + 1e-18
+    want = weight * _entropy_rows(np.array([[1.0, 1e-18]]), params)[0]
+    assert want > 1e-6
+    assert value[0] == pytest.approx(want, rel=1e-12)
 
 
 def _generic_rank2(seed):
@@ -448,3 +460,29 @@ def test_roof_sweep_cap_keeps_a_converged_restart():
     with pytest.warns(RuntimeWarning, match="sweep cap"):
         roof = gm.convex_roof_ue_rank2(rho, P21, rng=11, max_sweeps=1)
     assert roof == pytest.approx(gm.f_qs(0.0, P21), abs=1e-10)
+
+
+def test_roof_weak_pair_inside_region_r():
+    # C = 1.2e-4 puts the roof near 7.2e-9, far below the scale of a roof
+    # near 1, so the stops must be relative to the value
+    state = gm.make_gw_state(4, 2, [1e-4, 0.6, 0.5, math.sqrt(0.39 - 1e-8)])
+    rho = gm.reduce(gm.to_state_vector(state), (1, 2))
+    target = gm.f_qs(gm.pair_concurrence(state, (1,), (2,)), P21)
+    assert target == pytest.approx(7.2e-9, rel=1e-6)
+    assert gm.convex_roof_ue_rank2(rho, P21, rng=0) == pytest.approx(target, rel=1e-6)
+
+
+def test_roof_below_half_ends_without_cap(example1_vec):
+    # at q < 1/2 the minima are not smooth and the restarts crawl; the stall
+    # rule on the best value ends the solve well before the sweep cap (the
+    # suite turns the cap's RuntimeWarning into an error)
+    params = UEParams(0.3, 0.5)
+    rho = gm.reduce(example1_vec, (1, 2))
+    evals, vecs = np.linalg.eigh(rho.entries)
+    eigen_value = sum(
+        lam * _reference_decomposition_value(np.eye(1), vec.reshape(1, 4), params)
+        for lam, vec in zip(evals, vecs.T)
+        if lam > 1e-12
+    )
+    roof = gm.convex_roof_ue_rank2(rho, params, rng=12)
+    assert 0.0 <= roof <= eigen_value
