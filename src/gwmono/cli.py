@@ -9,11 +9,12 @@ Exit codes: 0 success, 2 invalid input, 3 hypothesis refusal (a stated
 precondition of the requested inequality does not hold), 4 genuine violation
 (hypotheses met, margin negative beyond tolerance).  ``check --random N``
 draws its own states and partitions (``--preset``, ``--state`` and
-``--partition`` are invalid input there) and evaluates every instance: a
-refused checker call writes no row, the exit code is 4 if any call violated,
-else 3 if any was refused, else 0, and one JSON summary line (held, refused,
-violated, worst margin, the index of the worst instance and the seed) goes
-to stderr.
+``--partition`` are invalid input there, and so is a ``--focus`` above 2 for
+squared and power, since a partition can have two blocks) and evaluates
+every instance: a refused checker call writes no row, the exit code is 4 if
+any call violated, else 3 if any was refused, else 0, and one JSON summary
+line (held, refused, violated, worst margin, the index of the worst instance
+and the seed) goes to stderr.
 
 ``measure`` takes its pair values from the site-weights kernel
 (``pair_concurrence``) and builds no dense vector; the checkers and the
@@ -348,6 +349,8 @@ def _cmd_check(args) -> int:
                 f"--site-a/--site-b must not exceed {RANDOM_N_MAX}, "
                 "the largest site count of a random instance"
             )
+        if args.ineq in ("squared", "power") and args.focus > 2:
+            raise ValueError("--focus must not exceed 2, the fewest blocks of a random partition")
         rng = np.random.default_rng(args.seed)
         worst_margin, worst_instance = None, None
         for index in range(args.random):
@@ -383,31 +386,22 @@ def _cmd_check(args) -> int:
         check, points = _check_grid(args, state, partition)
         all_reports.extend(check(*point) for point in points)
 
-    payload = [r.to_dict() for r in all_reports]
+    header = ["inequality", "q", "s", "alpha", "beta", "lhs", "rhs", "margin", "hypotheses_ok"]
     if args.format == "json":
-        _emit(_json_text(payload), args.out)
+        records = [r.to_dict() for r in all_reports]
     else:
-        body = [
-            [
-                r.inequality_id,
-                _fmt_full(r.params.get("q", math.nan)),
-                _fmt_full(r.params.get("s", math.nan)),
-                _fmt_full(r.params.get("alpha", math.nan)),
-                _fmt_full(r.params.get("beta", math.nan)),
-                _fmt_full(r.lhs),
-                _fmt_full(r.rhs),
-                _fmt_full(r.margin),
-                str(r.hypotheses_ok).lower(),
-            ]
+        records = [
+            {
+                "inequality": r.inequality_id,
+                **{key: r.params.get(key, math.nan) for key in ("q", "s", "alpha", "beta")},
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "margin": r.margin,
+                "hypotheses_ok": str(r.hypotheses_ok).lower(),
+            }
             for r in all_reports
         ]
-        _emit(
-            _csv_text(
-                ["inequality", "q", "s", "alpha", "beta", "lhs", "rhs", "margin", "hypotheses_ok"],
-                body,
-            ),
-            args.out,
-        )
+    _emit_records(args, header, records)
 
     if any(_violated(r) for r in all_reports):
         return 4

@@ -5,7 +5,9 @@ so that ``margin >= 0`` means the inequality is satisfied, whatever its
 direction.  Hypotheses are validated and reported, never silently assumed: a
 checker raises :class:`HypothesisNotMet` instead of evaluating an inequality
 whose preconditions fail, and a negative margin is only meaningful when
-``hypotheses_ok`` is true.
+``hypotheses_ok`` is true.  One private skeleton carries every checker:
+``_report`` alone orients the margin, squared monogamy is the ``alpha = 2``
+case of the power core, and the two fractional-power bounds share one core.
 
 Checkers take a :class:`GWState`, with or without a vacuum admixture (its
 ``vacuum_weight``), and raise ``TypeError`` for anything else.  Pair
@@ -21,13 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .concurrence import gw_block_concurrence_oracle
-from .states import (
-    GWState,
-    Partition,
-    PureStateVector,
-    reduce,
-    to_state_vector,
-)
+from .states import GWState, Partition, reduce, to_state_vector
 from .unified import UEParams, g_qs, f_qs, in_region_r, ue_pure, unified_entropy
 
 #: Additive slack used when asserting margins; every quantity chains several
@@ -111,10 +107,31 @@ def _params_echo(params: UEParams, **extra) -> dict:
     return echo
 
 
+def _report(
+    inequality_id: str,
+    lhs: float,
+    rhs: float,
+    hypotheses: Sequence[Hypothesis],
+    params: dict,
+    *,
+    upper: bool = False,
+) -> MonogamyReport:
+    """Report ``lhs >= rhs``, or ``lhs <= rhs`` when ``upper``; ``margin >= 0`` means it holds."""
+    return MonogamyReport(
+        inequality_id=inequality_id,
+        lhs=lhs,
+        rhs=rhs,
+        margin=rhs - lhs if upper else lhs - rhs,
+        hypotheses=tuple(hypotheses),
+        params=params,
+    )
+
+
 def _focus_pair_ues(
-    psi: PureStateVector, partition: Partition, focus: int, params: UEParams
+    state: GWState, partition: Partition, focus: int, params: UEParams
 ) -> tuple[float, list[float]]:
     """One-versus-rest and focus-pair unified entanglement values via the oracle."""
+    psi = to_state_vector(state)
     focus_block, others, rest = partition.split_focus(focus)
     c_lhs = gw_block_concurrence_oracle(psi, focus_block, rest)
     u_lhs = g_qs(c_lhs**2, params)
@@ -131,32 +148,37 @@ def _focus_pair_ues(
     return u_lhs, u_pairs
 
 
-def check_squared_monogamy(
-    state: GWState, partition: Partition, focus: int, params: UEParams
-) -> MonogamyReport:
-    """Squared-entanglement monogamy: ``U^2(focus|rest) >= sum_i U^2(focus, P_i)``."""
-    region = _region_hypothesis(params)
-    _require([region])
-    psi = to_state_vector(state)
-    u_lhs, u_pairs = _focus_pair_ues(psi, partition, focus, params)
-    lhs = u_lhs**2
-    rhs = float(sum(u**2 for u in u_pairs))
-    return MonogamyReport(
-        inequality_id="squared",
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        hypotheses=(region,),
-        params=_params_echo(params, focus=focus, blocks=partition.blocks),
-    )
-
-
-def check_power_monogamy(
+def _power_report(
+    inequality_id: str,
     state: GWState,
     partition: Partition,
     focus: int,
     params: UEParams,
     alpha: float,
+    hypotheses: Sequence[Hypothesis],
+    extra: dict,
+) -> MonogamyReport:
+    """``U^alpha(focus|rest) >= sum_i U^alpha(focus, P_i)``; reversed when ``alpha <= 0``."""
+    _require(hypotheses)
+    u_lhs, u_pairs = _focus_pair_ues(state, partition, focus, params)
+    reversed_form = alpha <= 0.0  # the reversed form is strict
+    if reversed_form and (any(u <= 0.0 for u in u_pairs) or u_lhs <= 0.0):
+        raise ValueError("non-positive entanglement value under a non-positive power")
+    rhs = float(sum(u**alpha for u in u_pairs))
+    echo = _params_echo(params, **extra, focus=focus, blocks=partition.blocks)
+    return _report(inequality_id, u_lhs**alpha, rhs, hypotheses, echo, upper=reversed_form)
+
+
+def check_squared_monogamy(
+    state: GWState, partition: Partition, focus: int, params: UEParams
+) -> MonogamyReport:
+    """Squared-entanglement monogamy: ``U^2(focus|rest) >= sum_i U^2(focus, P_i)``."""
+    region = _region_hypothesis(params)
+    return _power_report("squared", state, partition, focus, params, 2.0, [region], {})
+
+
+def check_power_monogamy(
+    state: GWState, partition: Partition, focus: int, params: UEParams, alpha: float
 ) -> MonogamyReport:
     """Power-``alpha`` monogamy for ``alpha >= 2``; strictly reversed for ``alpha <= 0``.
 
@@ -164,37 +186,15 @@ def check_power_monogamy(
     least three blocks and strictly positive pair values.
     """
     alpha = float(alpha)
-    region = _region_hypothesis(params)
-    alpha_ok = Hypothesis(
-        "alpha_in_valid_range", alpha >= 2.0 or alpha <= 0.0, f"alpha={alpha}"
-    )
-    hypotheses = [region, alpha_ok]
+    hypotheses = [
+        _region_hypothesis(params),
+        Hypothesis("alpha_in_valid_range", alpha >= 2.0 or alpha <= 0.0, f"alpha={alpha}"),
+    ]
     if alpha <= 0.0:
-        hypotheses.append(
-            Hypothesis(
-                "at_least_three_blocks_for_reversed_form",
-                partition.r >= 3,
-                f"r={partition.r}",
-            )
-        )
-    _require(hypotheses)
-
-    psi = to_state_vector(state)
-    u_lhs, u_pairs = _focus_pair_ues(psi, partition, focus, params)
-
-    reversed_form = alpha <= 0.0
-    if reversed_form and (any(u <= 0.0 for u in u_pairs) or u_lhs <= 0.0):
-        raise ValueError("non-positive entanglement value under a non-positive power")
-    lhs = u_lhs**alpha
-    rhs = float(sum(u**alpha for u in u_pairs))
-    return MonogamyReport(
-        inequality_id="power-reversed" if reversed_form else "power",
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs if reversed_form else lhs - rhs,  # the reversed form is strict
-        hypotheses=tuple(hypotheses),
-        params=_params_echo(params, alpha=alpha, focus=focus, blocks=partition.blocks),
-    )
+        r = partition.r
+        hypotheses.append(Hypothesis("at_least_three_blocks_for_reversed_form", r >= 3, f"r={r}"))
+    kind = "power-reversed" if alpha <= 0.0 else "power"
+    return _power_report(kind, state, partition, focus, params, alpha, hypotheses, {"alpha": alpha})
 
 
 def tightened_lower_bound(
@@ -384,8 +384,7 @@ def check_tightened(
         raise ValueError(f"need exactly three blocks, got {partition.r}")
     region = _region_hypothesis(params)
     _require([region])
-    psi = to_state_vector(state)
-    u_lhs, (u12, u13) = _focus_pair_ues(psi, partition, 0, params)
+    u_lhs, (u12, u13) = _focus_pair_ues(state, partition, 0, params)
     feasibility = Hypothesis(
         "mu_feasible_for_state",
         u_lhs**2 >= u12**2 + mu * u13**2 - _HYP_SLACK,
@@ -393,17 +392,10 @@ def check_tightened(
     )
     _require([feasibility])
     bound = tightened_lower_bound(u12, u13, mu, h, p, alpha)
-    lhs = u_lhs**alpha
-    return MonogamyReport(
-        inequality_id="tightened",
-        lhs=lhs,
-        rhs=bound,
-        margin=lhs - bound,
-        hypotheses=(region, feasibility),
-        params=_params_echo(
-            params, alpha=alpha, mu=mu, h=h, tightening_factor=p, blocks=partition.blocks
-        ),
+    echo = _params_echo(
+        params, alpha=alpha, mu=mu, h=h, tightening_factor=p, blocks=partition.blocks
     )
+    return _report("tightened", u_lhs**alpha, bound, (region, feasibility), echo)
 
 
 def check_chained(
@@ -432,29 +424,33 @@ def check_chained(
         rest = tuple(s for b in tails[t:] for s in b)
         tail_ues.append(g_qs(gw_block_concurrence_oracle(psi, focus, rest) ** 2, params))
     bound, hypotheses = chained_lower_bound(pair_ues, tail_ues, mus, hs, ps, k, alpha)
-    lhs = tail_ues[0] ** alpha
-    return MonogamyReport(
-        inequality_id="chained",
-        lhs=lhs,
-        rhs=bound,
-        margin=lhs - bound,
-        hypotheses=(region,) + hypotheses,
-        params=_params_echo(
-            params,
-            alpha=alpha,
-            k=k,
-            mus=list(mus),
-            hs=list(hs),
-            tightening_factors=list(ps),
-            blocks=partition.blocks,
-        ),
+    echo = _params_echo(
+        params,
+        alpha=alpha,
+        k=k,
+        mus=list(mus),
+        hs=list(hs),
+        tightening_factors=list(ps),
+        blocks=partition.blocks,
     )
+    return _report("chained", tail_ues[0] ** alpha, bound, (region,) + hypotheses, echo)
 
 
-def _beta_sides(
-    psi: PureStateVector, site_a: int, site_b: int, params: UEParams
-) -> tuple[float, float, float]:
-    """Entropy of the two-site reduction and the two per-side pair-sum values."""
+def _beta_report(
+    state: GWState, site_a: int, site_b: int, beta: float, s: float, *, upper: bool
+) -> MonogamyReport:
+    """``U^beta(rho_ab)`` against ``X^beta + Y^beta`` (``upper``) or ``|X^beta - Y^beta|``.
+
+    ``X`` (``Y``) is the sum of the analytic pair values seen from site ``a``
+    (``b``), each including the ``(a, b)`` pair itself, at ``q = 2``.
+    """
+    hypotheses = [
+        Hypothesis("s_in_half_to_one", 0.5 <= s <= 1.0, f"s={s}"),
+        Hypothesis("beta_in_unit_interval", 0.0 <= beta <= 1.0, f"beta={beta}"),
+    ]
+    _require(hypotheses)
+    params = UEParams(q=2.0, s=s)
+    psi = to_state_vector(state)
     n = psi.n_sites
     if site_a == site_b or not (1 <= site_a <= n and 1 <= site_b <= n):
         raise ValueError(f"need two distinct sites in 1..{n}")
@@ -468,15 +464,13 @@ def _beta_sides(
     y_side = f_ab + sum(
         f_qs(gw_block_concurrence_oracle(psi, (site_b,), (c,)), params) for c in others
     )
-    u_ab = unified_entropy(reduce(psi, (site_a, site_b)), params)
-    return u_ab, x_side, y_side
-
-
-def _beta_hypotheses(beta: float, s: float) -> list[Hypothesis]:
-    return [
-        Hypothesis("s_in_half_to_one", 0.5 <= s <= 1.0, f"s={s}"),
-        Hypothesis("beta_in_unit_interval", 0.0 <= beta <= 1.0, f"beta={beta}"),
-    ]
+    lhs = unified_entropy(reduce(psi, (site_a, site_b)), params) ** beta
+    rhs = x_side**beta + y_side**beta if upper else abs(x_side**beta - y_side**beta)
+    echo = _params_echo(
+        params, beta=beta, site_a=site_a, site_b=site_b, x_side=x_side, y_side=y_side
+    )
+    kind = "beta-upper" if upper else "beta-lower"
+    return _report(kind, lhs, rhs, hypotheses, echo, upper=upper)
 
 
 def check_beta_lower_bound(
@@ -487,46 +481,14 @@ def check_beta_lower_bound(
     ``U^beta(rho_ab) >= |X^beta - Y^beta|`` with ``X`` (``Y``) the sum of the
     analytic pair values seen from site ``a`` (``b``).
     """
-    hypotheses = _beta_hypotheses(beta, s)
-    _require(hypotheses)
-    params = UEParams(q=2.0, s=s)
-    psi = to_state_vector(state)
-    u_ab, x_side, y_side = _beta_sides(psi, site_a, site_b, params)
-    lhs = u_ab**beta
-    rhs = abs(x_side**beta - y_side**beta)
-    return MonogamyReport(
-        inequality_id="beta-lower",
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        hypotheses=tuple(hypotheses),
-        params=_params_echo(
-            params, beta=beta, site_a=site_a, site_b=site_b, x_side=x_side, y_side=y_side
-        ),
-    )
+    return _beta_report(state, site_a, site_b, beta, s, upper=False)
 
 
 def check_beta_upper_bound(
     state: GWState, site_a: int, site_b: int, beta: float, s: float
 ) -> MonogamyReport:
     """Fractional-power upper bound ``U^beta(rho_ab) <= X^beta + Y^beta`` at ``q = 2``."""
-    hypotheses = _beta_hypotheses(beta, s)
-    _require(hypotheses)
-    params = UEParams(q=2.0, s=s)
-    psi = to_state_vector(state)
-    u_ab, x_side, y_side = _beta_sides(psi, site_a, site_b, params)
-    lhs = u_ab**beta
-    rhs = x_side**beta + y_side**beta
-    return MonogamyReport(
-        inequality_id="beta-upper",
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        hypotheses=tuple(hypotheses),
-        params=_params_echo(
-            params, beta=beta, site_a=site_a, site_b=site_b, x_side=x_side, y_side=y_side
-        ),
-    )
+    return _beta_report(state, site_a, site_b, beta, s, upper=True)
 
 
 def power_difference_gap(x: float, h: float, p: float, m: float) -> float:

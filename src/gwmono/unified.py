@@ -115,6 +115,12 @@ def _clamped_unit(value: float, name: str) -> float:
     return min(max(v, 0.0), 1.0)
 
 
+# _f_from_u stays a scalar path beside _entropy_rows: numpy's SIMD pow and log
+# differ from the C library's in the last bit (on an AVX-512 Xeon, numpy 2.4.6,
+# lam**2.1 in 1,260 and log(lam) in 367 of 20,000 draws), the cancellation in
+# power_sum - 1 carries that bit forward (1,235 of 20,000 values differ at
+# q = 2.1, s = 1, by up to 7e-10 relative), and the golden outputs of
+# reproduce, pre and check come from this path.
 def _f_from_u(u: float, params: UEParams) -> float:
     """Entanglement value from ``u = sqrt(1 - C^2)`` via the regime-dispatched formula."""
     lam_hi = (1.0 + u) / 2.0

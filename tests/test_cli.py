@@ -317,6 +317,20 @@ def test_check_random_beta_honours_requested_sites(tmp_path, capsys):
     assert "held" not in err  # rejected before the batch starts
 
 
+@pytest.mark.parametrize("ineq", ["squared", "power"])
+def test_check_random_rejects_focus_beyond_two_blocks(tmp_path, capsys, ineq):
+    # a random partition can have two blocks, so only --focus 1 and 2 always exist
+    out = tmp_path / "rows.csv"
+    args = ["check", "--ineq", ineq, "--random", "10", "--seed", "7", "--out", str(out)]
+    assert run(args + ["--focus", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--focus" in err
+    assert "held" not in err  # rejected before the batch starts
+    assert not out.exists()
+    assert run(args + ["--focus", "2"]) in (0, 3)
+    assert len(read_csv(out)) > 1
+
+
 def test_malformed_state_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -206,6 +206,53 @@ def test_printed_pair_values():
     assert gm.printed_pair_concurrence_sq(degenerate, PairKind.FRONT_BACK) == 0.0
 
 
+def _uniform_w_pair_negativity(n, u, v):
+    """Negativity of ``a |00><00| + |psi><psi|``, a two-block reduction of the uniform W state.
+
+    ``psi = (sqrt(u) |10> + sqrt(v) |01>) / sqrt(n)`` for blocks of ``u`` and
+    ``v`` sites, and ``a = (n - u - v) / n`` is the weight left in the vacuum.
+    """
+    rho = np.zeros((4, 4))
+    rho[0, 0] = (n - u - v) / n
+    psi = np.array([0.0, math.sqrt(v / n), math.sqrt(u / n), 0.0])
+    rho += np.outer(psi, psi)
+    partial_transpose = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    eigs = np.linalg.eigvalsh(partial_transpose)
+    return -float(eigs[eigs < 0.0].sum())
+
+
+def test_printed_pair_values_are_squared_negativities():
+    # the printed forms are (2N)^2 with 2N = sqrt(a^2 + 4uv/n^2) - a: exactly for
+    # the top cut (a = 0), the site pair and the sub-pairs with u + v = m; the
+    # sub-pair forms put a = (n - m)/n, so every other non-empty sub-pair misses
+    cuts = [
+        BlockCut(n, m, a, b)
+        for n in range(2, 17)
+        for m in range(1, n)
+        for a in range(1, m + 1)
+        for b in range(m + 1, n + 1)
+    ]
+    negativity = {}
+    matched = missed = 0
+    for cut in cuts:
+        n, m = cut.n, cut.m
+        for kind, (block_p, block_q) in cut.pair_blocks().items():
+            u, v = len(block_p), len(block_q)
+            a = (n - u - v) / n
+            two_n = math.sqrt(a**2 + 4 * u * v / n**2) - a
+            if (n, u, v) not in negativity:
+                negativity[n, u, v] = _uniform_w_pair_negativity(n, u, v)
+            assert 2 * negativity[n, u, v] == pytest.approx(two_n, abs=1e-15)
+            printed = gm.printed_pair_concurrence_sq(cut, kind)
+            if kind in (PairKind.TOP, PairKind.SITE_PAIR) or u + v == m or u * v == 0:
+                assert printed == pytest.approx(two_n**2, abs=1e-15), (cut, kind)
+                matched += 1
+            else:
+                assert abs(printed - two_n**2) > 0.1 * two_n**2, (cut, kind)
+                missed += 1
+    assert (matched, missed) == (9840, 8520)
+
+
 def test_pair_decomposition_residual_three_qubit():
     vec = gm.to_state_vector(gm.uniform_w_state(3))
     part = gm.Partition.singletons((1, 2, 3))

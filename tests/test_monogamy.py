@@ -36,7 +36,7 @@ def test_squared_monogamy_region_refusal(example1):
         gm.check_squared_monogamy(example1, three_site_partition(), 0, UEParams(0.5, 1.0))
 
 
-_DENSE_INPUT_CALLS = {
+_CHECKER_CALLS = {
     "squared": lambda st: gm.check_squared_monogamy(st, three_site_partition(), 0, P21),
     "power": lambda st: gm.check_power_monogamy(st, three_site_partition(), 0, P21, 2.0),
     "tightened": lambda st: gm.check_tightened(
@@ -52,11 +52,28 @@ _DENSE_INPUT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_DENSE_INPUT_CALLS))
+@pytest.mark.parametrize("name", sorted(_CHECKER_CALLS))
 def test_checkers_reject_dense_vectors(example1, name):
-    # every hypothesis of these calls holds, so only the input type can refuse
+    # every hypothesis checked before the state is read holds, so only the input type can refuse
     with pytest.raises(TypeError, match="expected GWState, got PureStateVector"):
-        _DENSE_INPUT_CALLS[name](gm.to_state_vector(example1))
+        _CHECKER_CALLS[name](gm.to_state_vector(example1))
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKER_CALLS))
+def test_checkers_build_the_dense_vector_once(example1, monkeypatch, name):
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return gm.to_state_vector(state)
+
+    monkeypatch.setattr("gwmono.monogamy.to_state_vector", counting)
+    monkeypatch.setattr("gwmono.residual.to_state_vector", counting)
+    try:
+        _CHECKER_CALLS[name](example1)
+    except HypothesisNotMet:
+        assert name == "chained"  # its step hypotheses fail only after the pair values
+    assert calls == [example1]
 
 
 def test_squared_monogamy_random_sample():
@@ -75,6 +92,15 @@ def test_power_monogamy_alpha_two_matches_squared(example1):
     power = gm.check_power_monogamy(example1, three_site_partition(), 0, P21, 2.0)
     assert power.lhs == pytest.approx(squared.lhs, abs=1e-14)
     assert power.rhs == pytest.approx(squared.rhs, abs=1e-14)
+    # squared is the alpha = 2 case of the power check, bit for bit
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        state = random_gw_state(rng, n_hi=6, d_hi=3)
+        part = random_partition(rng, state.n)
+        focus = int(rng.integers(0, part.r))
+        squared = gm.check_squared_monogamy(state, part, focus, P21)
+        power = gm.check_power_monogamy(state, part, focus, P21, 2)
+        assert (power.lhs, power.rhs, power.margin) == (squared.lhs, squared.rhs, squared.margin)
 
 
 def test_power_monogamy_alpha_three(example1):
