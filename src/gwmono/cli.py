@@ -7,10 +7,13 @@ series and the worked four-qubit example), ``pre`` (residual grids) and
 
 Exit codes: 0 success, 2 invalid input, 3 hypothesis refusal (a stated
 precondition of the requested inequality does not hold), 4 genuine violation
-(hypotheses met, margin negative beyond tolerance).  ``check --random N``
-draws its own states and partitions (``--preset``, ``--state`` and
-``--partition`` are invalid input there, and so is a ``--focus`` above 2 for
-squared and power, since a partition can have two blocks) and evaluates
+(hypotheses met, margin negative beyond tolerance).  ``check --focus`` is
+the 1-based focus block of squared and power (block 1 when not given); below
+1, above the partition's block count, or given to tightened, chained or a
+beta bound (they fix their focus) it is invalid input, rejected before any
+state is drawn.  ``check --random N`` draws its own states and partitions
+(``--preset``, ``--state``, ``--partition`` and a ``--focus`` above 2, the
+fewest blocks of a random partition, are invalid input there) and evaluates
 every instance: a refused checker call writes no row, the exit code is 4 if
 any call violated, else 3 if any was refused, else 0, and one JSON summary
 line (held, refused, violated, worst margin, the index of the worst instance
@@ -36,8 +39,9 @@ import io
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -276,54 +280,37 @@ def _random_partition(rng: np.random.Generator, n: int, min_blocks: int = 2) -> 
     return Partition(tuple(blocks))
 
 
-def _check_grid(args, state, partition) -> tuple[Callable[..., MonogamyReport], list[tuple]]:
-    """The requested checker as one callable and its argument tuples in report order.
+def _check_calls(args, state, partition, focus0: int) -> list[partial]:
+    """The requested checker's calls in report order; values parse as q, s, mu/h/p, alpha.
 
-    Inequalities with a ``(q, s)`` parameter are called as ``check(params,
-    alpha)`` over q, then s, then alpha (squared takes a single ``alpha=None``
-    pass); the beta bounds are called as ``check(s, beta)`` over s, then beta.
+    Inequalities with a ``(q, s)`` parameter run over q, then s, then alpha
+    (squared has no alpha); the beta bounds run over s, then beta.
     """
     q_values = _float_list(args.q)
     s_values = _float_list(args.s)
-    focus = args.focus - 1
     if args.ineq in ("beta-lower", "beta-upper"):
-        checker = check_beta_lower_bound if args.ineq == "beta-lower" else check_beta_upper_bound
-
-        def check(s, beta):
-            return checker(state, args.site_a, args.site_b, beta, s)
-
-        return check, [(s, beta) for s in s_values for beta in _float_list(args.beta)]
-
+        bound = check_beta_lower_bound if args.ineq == "beta-lower" else check_beta_upper_bound
+        check = partial(bound, state, args.site_a, args.site_b)
+        return [partial(check, beta, s) for s in s_values for beta in _float_list(args.beta)]
     if args.ineq == "squared":
-        def check(params, alpha):
-            return check_squared_monogamy(state, partition, focus, params)
-
-    elif args.ineq == "power":
-        def check(params, alpha):
-            return check_power_monogamy(state, partition, focus, params, alpha)
-
+        check = partial(check_squared_monogamy, state, partition, focus0)
+        return [partial(check, UEParams(q, s)) for q in q_values for s in s_values]
+    if args.ineq == "power":
+        check = partial(check_power_monogamy, state, partition, focus0)
     elif args.ineq == "tightened":
         mu, h, p = _float(args.mu), _float(args.h), _float(args.p_factor)
-
-        def check(params, alpha):
-            return check_tightened(state, partition, params, mu=mu, h=h, p=p, alpha=alpha)
-
-    elif args.ineq == "chained":
-        def per_step(text: str) -> list[float]:
-            values = _float_list(text)  # a scalar applies to every chaining step
-            return values * (partition.r - 2) if len(values) == 1 else values
-
-        mus, hs, ps = per_step(args.mu), per_step(args.h), per_step(args.p_factor)
-
-        def check(params, alpha):
-            return check_chained(
-                state, partition, params, k=args.k, mus=mus, hs=hs, ps=ps, alpha=alpha
-            )
-
-    else:
-        raise ValueError(f"unknown inequality {args.ineq!r}")
-    alphas = [None] if args.ineq == "squared" else _float_list(args.alpha)
-    return check, [(UEParams(q, s), alpha) for q in q_values for s in s_values for alpha in alphas]
+        check = partial(check_tightened, state, partition, mu=mu, h=h, p=p)
+    else:  # chained: a scalar mu, h or p applies to every chaining step
+        steps = [_float_list(text) for text in (args.mu, args.h, args.p_factor)]
+        mus, hs, ps = (v * (partition.r - 2) if len(v) == 1 else v for v in steps)
+        check = partial(check_chained, state, partition, k=args.k, mus=mus, hs=hs, ps=ps)
+    alphas = _float_list(args.alpha)
+    return [
+        partial(check, UEParams(q, s), alpha=alpha)
+        for q in q_values
+        for s in s_values
+        for alpha in alphas
+    ]
 
 
 def _violated(report: MonogamyReport) -> bool:
@@ -333,6 +320,11 @@ def _violated(report: MonogamyReport) -> bool:
 def _cmd_check(args) -> int:
     if args.random < 0:
         raise ValueError(f"--random must be non-negative, got {args.random}")
+    if args.focus is not None and args.ineq not in ("squared", "power"):
+        raise ValueError(f"--focus applies to squared and power; {args.ineq} fixes its focus")
+    focus = 1 if args.focus is None else args.focus
+    if focus < 1:
+        raise ValueError(f"--focus is a 1-based block index, got {focus}")
     all_reports: list[MonogamyReport] = []
     tally = {"held": 0, "refused": 0, "violated": 0}
     if args.random:
@@ -349,7 +341,7 @@ def _cmd_check(args) -> int:
                 f"--site-a/--site-b must not exceed {RANDOM_N_MAX}, "
                 "the largest site count of a random instance"
             )
-        if args.ineq in ("squared", "power") and args.focus > 2:
+        if focus > 2:
             raise ValueError("--focus must not exceed 2, the fewest blocks of a random partition")
         rng = np.random.default_rng(args.seed)
         worst_margin, worst_instance = None, None
@@ -361,10 +353,9 @@ def _cmd_check(args) -> int:
                 partition = _random_partition(rng, state.n, block_floor)
                 while args.ineq in ("tightened", "chained") and partition.r != block_floor:
                     partition = _random_partition(rng, state.n, block_floor)
-            check, points = _check_grid(args, state, partition)
-            for point in points:
+            for call in _check_calls(args, state, partition, focus - 1):
                 try:
-                    report = check(*point)
+                    report = call()
                 except HypothesisNotMet:
                     tally["refused"] += 1  # a refused call writes no row
                     continue
@@ -378,13 +369,12 @@ def _cmd_check(args) -> int:
         print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     else:
         state = _resolve_state(args)
-        partition = (
-            _parse_partition(args.partition)
-            if args.partition
-            else Partition.singletons(range(1, state.n + 1))
-        )
-        check, points = _check_grid(args, state, partition)
-        all_reports.extend(check(*point) for point in points)
+        partition = Partition.singletons(range(1, state.n + 1))
+        if args.partition:
+            partition = _parse_partition(args.partition)
+        if focus > partition.r:
+            raise ValueError(f"--focus {focus} exceeds the {partition.r} partition blocks")
+        all_reports.extend(call() for call in _check_calls(args, state, partition, focus - 1))
 
     header = ["inequality", "q", "s", "alpha", "beta", "lhs", "rhs", "margin", "hypotheses_ok"]
     if args.format == "json":
@@ -442,11 +432,9 @@ def _cmd_reproduce(args) -> int:
         _emit_records(args, header, rows)
         return 0
 
-    if target == "example1":
-        _emit_records(args, ["label", "concurrence", "ue"], example1_quantities())
-        return 0
-
-    raise ValueError(f"unknown target {target!r}")
+    # argparse leaves "example1" as the one other target
+    _emit_records(args, ["label", "concurrence", "ue"], example1_quantities())
+    return 0
 
 
 def _cmd_pre(args) -> int:
@@ -525,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("squared", "power", "tightened", "chained", "beta-lower", "beta-upper"),
     )
     check.add_argument("--partition", help="blocks like '1;2,3;4' (sites are 1-based)")
-    check.add_argument("--focus", type=int, default=1, help="1-based focus block index")
+    check.add_argument("--focus", type=int, help="1-based focus block of squared and power")
     check.add_argument("--site-a", dest="site_a", type=int, default=1)
     check.add_argument("--site-b", dest="site_b", type=int, default=2)
     check.add_argument("--q", default="2.0")

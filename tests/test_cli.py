@@ -331,6 +331,60 @@ def test_check_random_rejects_focus_beyond_two_blocks(tmp_path, capsys, ineq):
     assert len(read_csv(out)) > 1
 
 
+@pytest.mark.parametrize(
+    "args, witness",
+    [
+        (["--ineq", "squared", "--preset", "example1", "--focus", "0"], "1-based"),
+        (["--ineq", "power", "--random", "3", "--focus", "0"], "1-based"),
+        (["--ineq", "squared", "--preset", "example1", "--partition", "1;2,3", "--focus", "3"],
+         "--focus 3 exceeds the 2"),
+        (["--ineq", "tightened", "--random", "3", "--focus", "3"], "tightened fixes its focus"),
+        (["--ineq", "chained", "--random", "3", "--focus", "1"], "chained fixes its focus"),
+        (["--ineq", "beta-lower", "--preset", "example1", "--focus", "1"], "beta-lower fixes"),
+        (["--ineq", "beta-upper", "--random", "3", "--focus", "2"], "beta-upper fixes"),
+    ],
+    ids=["zero", "zero-random", "above-blocks", "tightened", "chained", "beta-lower", "beta-upper"],
+)
+def test_check_rejects_an_invalid_focus_before_drawing(capsys, args, witness):
+    assert run(["check", *args, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--focus" in err and witness in err
+    assert "held" not in err  # no instance was drawn
+
+
+def _as_row(report):
+    return json.loads(json.dumps(report.to_dict()))
+
+
+def test_check_rows_follow_q_then_s_then_alpha(capsys):
+    args = ["check", "--ineq", "power", "--preset", "example1", "--partition", "1;2;3"]
+    assert run(args + ["--q", "1.5,2", "--s", "0.5,1", "--alpha", "2,3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    partition = gm.Partition(((1,), (2,), (3,)))
+    expected = [
+        _as_row(gm.check_power_monogamy(example1_state(), partition, 0, gm.UEParams(q, s), alpha))
+        for q in (1.5, 2.0)
+        for s in (0.5, 1.0)
+        for alpha in (2.0, 3.0)
+    ]
+    assert len(rows) == 8
+    assert rows == expected
+
+
+def test_check_beta_rows_follow_s_then_beta(capsys):
+    args = ["check", "--ineq", "beta-upper", "--preset", "example1"]
+    assert run(args + ["--s", "0.5,1", "--beta", "0.5,1", "--format", "json"]) in (0, 4)
+    rows = json.loads(capsys.readouterr().out)
+    expected = [
+        _as_row(gm.check_beta_upper_bound(example1_state(), 1, 2, beta, s))
+        for s in (0.5, 1.0)
+        for beta in (0.5, 1.0)
+    ]
+    assert len(rows) == 4
+    assert rows == expected
+
+
 def test_malformed_state_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gwmono as gm
-from gwmono.concurrence import BlockCut, PairKind
-from conftest import random_gw_state, random_partition
+from gwmono.concurrence import GW_FORM_TOL, BlockCut, PairKind
+from conftest import gw_states, random_gw_state, random_partition
 
 SQRT2 = math.sqrt(2.0)
 
@@ -152,6 +154,32 @@ def test_oracle_rejects_non_w_class():
     vec = gm.PureStateVector((2, 2, 2), np.ones(8) / math.sqrt(8))
     with pytest.raises(ValueError, match="W-class"):
         gm.gw_block_concurrence_oracle(vec, (1,), (2,))
+
+
+def _leak(vec, weight, rng):
+    """``vec`` with ``weight`` moved onto random basis states of two or more excited sites."""
+    excited = (np.indices(vec.dims).reshape(len(vec.dims), -1) > 0).sum(axis=0)
+    leak = np.where(excited >= 2, rng.standard_normal(excited.size), 0.0)
+    leak = leak / np.linalg.norm(leak)
+    return gm.PureStateVector(vec.dims, np.sqrt(1.0 - weight) * vec.amps + np.sqrt(weight) * leak)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(state=gw_states(), seed=st.integers(0, 2**16))
+def test_oracle_entry_test_is_its_one_w_class_gate(state, seed):
+    # the entry weight alone decides: half the tolerance outside the subspace
+    # passes and changes the concurrence only at the sqrt(weight) scale, twice
+    # the tolerance is refused
+    rng = np.random.default_rng(seed)
+    sites = [int(s) for s in rng.permutation(np.arange(1, state.n + 1))]
+    a = int(rng.integers(1, state.n))
+    b = int(rng.integers(a + 1, state.n + 1))
+    block_p, block_q = sites[:a], sites[a:b]
+    vec = gm.to_state_vector(state)
+    near = gm.gw_block_concurrence_oracle(_leak(vec, 0.5 * GW_FORM_TOL, rng), block_p, block_q)
+    assert near == pytest.approx(gm.pair_concurrence(state, block_p, block_q), abs=1e-4)
+    with pytest.raises(ValueError, match="not a W-class state"):
+        gm.gw_block_concurrence_oracle(_leak(vec, 2.0 * GW_FORM_TOL, rng), block_p, block_q)
 
 
 def test_oracle_block_validation(example1_vec):
