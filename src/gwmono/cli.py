@@ -7,17 +7,15 @@ series and the worked four-qubit example), ``pre`` (residual grids) and
 
 Exit codes: 0 success, 2 invalid input, 3 hypothesis refusal (a stated
 precondition of the requested inequality does not hold), 4 genuine violation
-(hypotheses met, margin negative beyond tolerance).  ``check --focus`` is
-the 1-based focus block of squared and power (block 1 when not given); below
-1, above the partition's block count, or given to tightened, chained or a
-beta bound (they fix their focus) it is invalid input, rejected before any
-state is drawn.  ``check --random N`` draws its own states and partitions
-(``--preset``, ``--state``, ``--partition`` and a ``--focus`` above 2, the
-fewest blocks of a random partition, are invalid input there) and evaluates
-every instance: a refused checker call writes no row, the exit code is 4 if
-any call violated, else 3 if any was refused, else 0, and one JSON summary
-line (held, refused, violated, worst margin, the index of the worst instance
-and the seed) goes to stderr.
+(hypotheses met, margin negative beyond tolerance).  Each ``check --ineq``
+and each ``pre --kind`` reads its own flags; any other flag given is invalid
+input, refused before any state is drawn, as is a ``--focus`` outside the
+blocks.  ``check --random N`` draws its own states and partitions (so
+``--preset``, ``--state`` and ``--partition`` are invalid input there) and
+evaluates every instance: a refused checker call writes no row, the exit
+code is 4 if any call violated, else 3 if any was refused, else 0, and one
+JSON summary line (held, refused, violated, worst margin, the index of the
+worst instance and the seed) goes to stderr.
 
 ``measure`` takes its pair values from the site-weights kernel
 (``pair_concurrence``) and builds no dense vector; the checkers and the
@@ -40,8 +38,9 @@ import json
 import math
 import sys
 from functools import partial
+from itertools import product
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .concurrence import (
     pair_concurrence,
     pair_source_comparison,
 )
-from .monogamy import (
+from .monogamy import (  # the checkers are called by name, through _INEQUALITIES
     MARGIN_TOL,
     HypothesisNotMet,
     MonogamyReport,
@@ -172,20 +171,32 @@ def _emit(text: str, out: str) -> None:
 
 def _resolve_state(args):
     if getattr(args, "preset", None):
-        tokens = args.preset
-        name = tokens[0]
-        if name == "example1":
+        name, *extra = args.preset
+        usage = "use 'example1' or 'uniform-w N [D]'"
+        if name == "example1" and not extra:
             return example1_state()
-        if name == "uniform-w":
-            if len(tokens) < 2:
-                raise ValueError("preset uniform-w needs a site count: --preset uniform-w 6")
-            n = int(tokens[1])
-            d = int(tokens[2]) if len(tokens) > 2 else 2
-            return uniform_w_state(n, d)
-        raise ValueError(f"unknown preset {name!r}; use 'example1' or 'uniform-w N [D]'")
+        if name == "uniform-w" and not extra:
+            raise ValueError("preset uniform-w needs a site count: --preset uniform-w 6")
+        if name == "uniform-w" and len(extra) <= 2:
+            return uniform_w_state(*(int(token) for token in extra))
+        if name in ("example1", "uniform-w"):
+            raise ValueError(f"too many tokens in --preset {' '.join(args.preset)}; {usage}")
+        raise ValueError(f"unknown preset {name!r}; {usage}")
     if getattr(args, "state", None):
         return load_state_json(args.state)
     raise ValueError("no state source: pass --preset or --state")
+
+
+def _take_flags(args, owner: str, reads: Sequence[str], defaults: dict) -> None:
+    """Refuse the given flags of ``defaults`` (not ``None``) that are not in ``reads``, then
+    fill in ``defaults``; ``owner`` is the flag that chose ``reads`` (``ineq`` or ``kind``)."""
+    unread = [name for name in defaults if name not in reads and getattr(args, name) is not None]
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise ValueError(f"--{owner} {getattr(args, owner)} does not read {flags}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
 
 
 def _emit_grid(args, q_values, labels, rows, fmt, **extra) -> None:
@@ -269,48 +280,72 @@ def _random_gw_state(rng: np.random.Generator, n_lo: int = 3) -> GWState:
     return make_gw_state(n, d, table / np.linalg.norm(table))
 
 
-def _random_partition(rng: np.random.Generator, n: int, min_blocks: int = 2) -> Partition:
-    sites = list(rng.permutation(np.arange(1, n + 1)))
-    r = int(rng.integers(min_blocks, min(4, n) + 1))
-    cuts = sorted(rng.choice(np.arange(1, n), size=r - 1, replace=False))
-    blocks, start = [], 0
-    for c in list(cuts) + [n]:
-        blocks.append(tuple(int(s) for s in sites[start:c]))
-        start = c
-    return Partition(tuple(blocks))
+def _random_partition(rng: np.random.Generator, n: int, blocks: range) -> Partition:
+    """Random blocks of sites 1..n, drawn again until their count lies in ``blocks``."""
+    while True:
+        sites = list(rng.permutation(np.arange(1, n + 1)))
+        r = int(rng.integers(blocks.start, min(4, n) + 1))
+        cuts = sorted(rng.choice(np.arange(1, n), size=r - 1, replace=False))
+        if r in blocks:
+            edges = [0, *cuts, n]
+            return Partition(tuple(tuple(map(int, sites[a:b])) for a, b in zip(edges, edges[1:])))
 
 
-def _check_calls(args, state, partition, focus0: int) -> list[partial]:
-    """The requested checker's calls in report order; values parse as q, s, mu/h/p, alpha.
+def _one_step(args, partition: Partition) -> dict:
+    mu, h, p = (_float(text) for text in (args.mu, args.h, args.p_factor))
+    return {"mu": mu, "h": h, "p": p}
 
-    Inequalities with a ``(q, s)`` parameter run over q, then s, then alpha
-    (squared has no alpha); the beta bounds run over s, then beta.
-    """
-    q_values = _float_list(args.q)
-    s_values = _float_list(args.s)
-    if args.ineq in ("beta-lower", "beta-upper"):
-        bound = check_beta_lower_bound if args.ineq == "beta-lower" else check_beta_upper_bound
-        check = partial(bound, state, args.site_a, args.site_b)
-        return [partial(check, beta, s) for s in s_values for beta in _float_list(args.beta)]
-    if args.ineq == "squared":
-        check = partial(check_squared_monogamy, state, partition, focus0)
-        return [partial(check, UEParams(q, s)) for q in q_values for s in s_values]
-    if args.ineq == "power":
-        check = partial(check_power_monogamy, state, partition, focus0)
-    elif args.ineq == "tightened":
-        mu, h, p = _float(args.mu), _float(args.h), _float(args.p_factor)
-        check = partial(check_tightened, state, partition, mu=mu, h=h, p=p)
-    else:  # chained: a scalar mu, h or p applies to every chaining step
-        steps = [_float_list(text) for text in (args.mu, args.h, args.p_factor)]
-        mus, hs, ps = (v * (partition.r - 2) if len(v) == 1 else v for v in steps)
-        check = partial(check_chained, state, partition, k=args.k, mus=mus, hs=hs, ps=ps)
-    alphas = _float_list(args.alpha)
-    return [
-        partial(check, UEParams(q, s), alpha=alpha)
-        for q in q_values
-        for s in s_values
-        for alpha in alphas
-    ]
+
+def _chain_steps(args, partition: Partition) -> dict:
+    # a scalar mu, h or p applies to every chaining step
+    steps = [_float_list(text) for text in (args.mu, args.h, args.p_factor)]
+    mus, hs, ps = (v * (partition.r - 2) if len(v) == 1 else v for v in steps)
+    return {"mus": mus, "hs": hs, "ps": ps}
+
+
+class _Inequality(NamedTuple):
+    """What one ``--ineq`` value runs; ``_check_calls`` and ``_cmd_check`` read nothing else."""
+
+    checker: str  # a checker of this module, looked up per run: a traced run wraps it there
+    reads: str  # the check flags it reads, by destination
+    blocks: range = range(2, RANDOM_N_MAX + 1)  # random partition sizes; empty: a site pair
+    steps: Callable[..., dict] = lambda args, partition: {}  # its mu, h, p keyword arguments
+
+
+_INEQUALITIES = {
+    "squared": _Inequality("check_squared_monogamy", "partition focus q s"),
+    "power": _Inequality("check_power_monogamy", "partition focus q s alpha"),
+    "tightened": _Inequality(
+        "check_tightened", "partition q s alpha mu h p_factor", range(3, 4), _one_step
+    ),
+    "chained": _Inequality(
+        "check_chained", "partition q s alpha mu h p_factor k", range(4, 5), _chain_steps
+    ),
+    "beta-lower": _Inequality("check_beta_lower_bound", "s beta site_a site_b", range(0)),
+    "beta-upper": _Inequality("check_beta_upper_bound", "s beta site_a site_b", range(0)),
+}
+
+#: Every flag that some ``--ineq`` reads, with its effective default (``None``: none).
+_CHECK_DEFAULTS = dict(
+    partition=None, focus=1, q="2.0", s="1.0", alpha="2.0", beta="1.0",
+    mu="1.0", h="1.0", p_factor="1.0", k=1, site_a=1, site_b=2,
+)
+
+
+def _check_calls(ineq: _Inequality, args, state, partition) -> list[partial]:
+    """The checker calls of one instance in report order: the product of the comma lists
+    q, s, alpha, beta that ``ineq`` reads, with q and s as one ``UEParams``.  Its other
+    flags but mu, h and p_factor (``ineq.steps``) pass as keywords of the same name."""
+    reads = ineq.reads.split()
+    swept = [name for name in ("q", "s", "alpha", "beta") if name in reads]
+    sweep = {name: _float_list(getattr(args, name)) for name in swept}
+    passed = dict(vars(args), partition=partition, focus=args.focus - 1)
+    kwargs = {name: passed[name] for name in reads if name not in (*swept, "mu", "h", "p_factor")}
+    check = partial(globals()[ineq.checker], state, **kwargs, **ineq.steps(args, partition))
+    if "q" in sweep:
+        qs, ss = sweep.pop("q"), sweep.pop("s")
+        sweep = {"params": [UEParams(q, s) for q in qs for s in ss], **sweep}
+    return [partial(check, **dict(zip(sweep, point))) for point in product(*sweep.values())]
 
 
 def _violated(report: MonogamyReport) -> bool:
@@ -318,13 +353,12 @@ def _violated(report: MonogamyReport) -> bool:
 
 
 def _cmd_check(args) -> int:
+    ineq = _INEQUALITIES[args.ineq]
+    _take_flags(args, "ineq", ineq.reads.split(), _CHECK_DEFAULTS)
     if args.random < 0:
         raise ValueError(f"--random must be non-negative, got {args.random}")
-    if args.focus is not None and args.ineq not in ("squared", "power"):
-        raise ValueError(f"--focus applies to squared and power; {args.ineq} fixes its focus")
-    focus = 1 if args.focus is None else args.focus
-    if focus < 1:
-        raise ValueError(f"--focus is a 1-based block index, got {focus}")
+    if args.focus < 1:
+        raise ValueError(f"--focus is a 1-based block index, got {args.focus}")
     all_reports: list[MonogamyReport] = []
     tally = {"held": 0, "refused": 0, "violated": 0}
     if args.random:
@@ -333,27 +367,23 @@ def _cmd_check(args) -> int:
             raise ValueError(
                 f"--random draws its own states and partitions; drop {', '.join(ignored)}"
             )
-        is_beta = args.ineq in ("beta-lower", "beta-upper")
-        block_floor = {"tightened": 3, "chained": 4}.get(args.ineq, 2)
-        n_lo = max(args.site_a, args.site_b, 3) if is_beta else max(block_floor, 3)
+        n_lo = max(args.site_a, args.site_b, ineq.blocks.start, 3)
         if n_lo > RANDOM_N_MAX:
             raise ValueError(
                 f"--site-a/--site-b must not exceed {RANDOM_N_MAX}, "
                 "the largest site count of a random instance"
             )
-        if focus > 2:
-            raise ValueError("--focus must not exceed 2, the fewest blocks of a random partition")
+        if ineq.blocks and args.focus > ineq.blocks.start:  # a site pair draws no partition
+            raise ValueError(
+                f"--focus must not exceed {ineq.blocks.start}, "
+                "the fewest blocks of a random partition"
+            )
         rng = np.random.default_rng(args.seed)
         worst_margin, worst_instance = None, None
         for index in range(args.random):
             state = _random_gw_state(rng, n_lo=n_lo)
-            if is_beta:
-                partition = None
-            else:
-                partition = _random_partition(rng, state.n, block_floor)
-                while args.ineq in ("tightened", "chained") and partition.r != block_floor:
-                    partition = _random_partition(rng, state.n, block_floor)
-            for call in _check_calls(args, state, partition, focus - 1):
+            partition = _random_partition(rng, state.n, ineq.blocks) if ineq.blocks else None
+            for call in _check_calls(ineq, args, state, partition):
                 try:
                     report = call()
                 except HypothesisNotMet:
@@ -372,9 +402,9 @@ def _cmd_check(args) -> int:
         partition = Partition.singletons(range(1, state.n + 1))
         if args.partition:
             partition = _parse_partition(args.partition)
-        if focus > partition.r:
-            raise ValueError(f"--focus {focus} exceeds the {partition.r} partition blocks")
-        all_reports.extend(call() for call in _check_calls(args, state, partition, focus - 1))
+        if args.focus > partition.r:
+            raise ValueError(f"--focus {args.focus} exceeds the {partition.r} partition blocks")
+        all_reports.extend(call() for call in _check_calls(ineq, args, state, partition))
 
     header = ["inequality", "q", "s", "alpha", "beta", "lhs", "rhs", "margin", "hypotheses_ok"]
     if args.format == "json":
@@ -437,23 +467,25 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+#: The ``pre`` flags that one ``--kind`` reads, and their effective defaults.
+_PRE_READS = {"block": ("m", "a", "b"), "pairwise": ("m_list",)}
+_PRE_DEFAULTS = {"m": 4, "a": "all", "b": None, "m_list": "all"}
+
+
 def _cmd_pre(args) -> int:
+    _take_flags(args, "kind", _PRE_READS[args.kind], _PRE_DEFAULTS)
     q_values = _float_list(args.q)
     source = PairSource(args.source)
     if args.kind == "block":
         if args.b is None:
             raise ValueError("block residuals need --b")
-        a_values = (
-            list(range(1, args.m + 1)) if args.a in (None, "all") else _int_list(args.a)
-        )
+        a_values = list(range(1, args.m + 1)) if args.a == "all" else _int_list(args.a)
         rows = block_residual_table(
             q_values, a_values, n=args.n, m=args.m, b=args.b, s=args.s, source=source
         )
         labels = [f"a={a}" for a in a_values]
     else:
-        m_values = (
-            list(range(1, args.n)) if args.m_list in (None, "all") else _int_list(args.m_list)
-        )
+        m_values = list(range(1, args.n)) if args.m_list == "all" else _int_list(args.m_list)
         rows = pairwise_residual_table(
             q_values, m_values, n=args.n, s=args.s, source=source
         )
@@ -507,25 +539,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = subs.add_parser("check", help="run an inequality checker")
     _add_state_flags(check)
-    check.add_argument(
-        "--ineq",
-        required=True,
-        choices=("squared", "power", "tightened", "chained", "beta-lower", "beta-upper"),
-    )
+    check.add_argument("--ineq", required=True, choices=tuple(_INEQUALITIES))
     check.add_argument("--partition", help="blocks like '1;2,3;4' (sites are 1-based)")
     check.add_argument("--focus", type=int, help="1-based focus block of squared and power")
-    check.add_argument("--site-a", dest="site_a", type=int, default=1)
-    check.add_argument("--site-b", dest="site_b", type=int, default=2)
-    check.add_argument("--q", default="2.0")
-    check.add_argument("--s", default="1.0")
-    check.add_argument("--alpha", default="2.0")
-    check.add_argument("--beta", default="1.0")
-    check.add_argument("--mu", default="1.0", help="scalar, or comma list for chained")
-    check.add_argument("--h", default="1.0", help="scalar, or comma list for chained")
-    check.add_argument(
-        "--p-factor", dest="p_factor", default="1.0", help="tightening factor(s)"
-    )
-    check.add_argument("--k", type=int, default=1, help="split step for chained checks")
+    # the inequality flags default to None; _cmd_check refuses the ones --ineq
+    # does not read and then applies _CHECK_DEFAULTS
+    check.add_argument("--site-a", dest="site_a", type=int)
+    check.add_argument("--site-b", dest="site_b", type=int)
+    check.add_argument("--q")
+    check.add_argument("--s")
+    check.add_argument("--alpha")
+    check.add_argument("--beta")
+    check.add_argument("--mu", help="scalar, or comma list for chained")
+    check.add_argument("--h", help="scalar, or comma list for chained")
+    check.add_argument("--p-factor", dest="p_factor", help="tightening factor(s)")
+    check.add_argument("--k", type=int, help="split step for chained checks")
     check.add_argument("--random", type=int, default=0, help="run on N random states")
     check.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_io_flags(check)
@@ -551,12 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
     pre = subs.add_parser("pre", help="residual entanglement grids")
     pre.add_argument("--kind", choices=("block", "pairwise"), default="block")
     pre.add_argument("--n", type=int, default=6)
-    pre.add_argument("--m", type=int, default=4, help="top split point (block kind)")
-    pre.add_argument("--a", default=None, help="comma list of inner split points, or 'all'")
-    pre.add_argument("--b", type=int, default=None)
-    pre.add_argument(
-        "--m-list", dest="m_list", default=None, help="comma list of m values (pairwise kind)"
-    )
+    pre.add_argument("--m", type=int, help="top split point (block kind)")
+    pre.add_argument("--a", help="comma list of inner split points, or 'all'")
+    pre.add_argument("--b", type=int)
+    pre.add_argument("--m-list", dest="m_list", help="comma list of m values (pairwise kind)")
     pre.add_argument("--q", default="2.0")
     pre.add_argument("--s", type=float, default=1.0)
     pre.add_argument("--source", choices=("printed", "oracle"), default="printed")

@@ -18,6 +18,31 @@ def run(args):
     return main(args)
 
 
+#: Every check flag that some --ineq reads, at its effective default (--partition has
+#: none: the default is one block per site, and '1;2' stands in).
+CHECK_FLAG_DEFAULTS = {
+    "--partition": "1;2", "--focus": "1", "--q": "2.0", "--s": "1.0", "--alpha": "2.0",
+    "--beta": "1.0", "--mu": "1.0", "--h": "1.0", "--p-factor": "1.0", "--k": "1",
+    "--site-a": "1", "--site-b": "2",
+}
+
+#: The check flags each --ineq reads.
+CHECK_READS = {
+    "squared": ("--partition", "--focus", "--q", "--s"),
+    "power": ("--partition", "--focus", "--q", "--s", "--alpha"),
+    "tightened": ("--partition", "--q", "--s", "--alpha", "--mu", "--h", "--p-factor"),
+    "chained": ("--partition", "--q", "--s", "--alpha", "--mu", "--h", "--p-factor", "--k"),
+    "beta-lower": ("--s", "--beta", "--site-a", "--site-b"),
+    "beta-upper": ("--s", "--beta", "--site-a", "--site-b"),
+}
+
+#: The comma-list flags each --ineq sweeps, in report order.
+CHECK_GRIDS = {
+    ineq: tuple(flag[2:] for flag in reads if flag in ("--q", "--s", "--alpha", "--beta"))
+    for ineq, reads in CHECK_READS.items()
+}
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -224,21 +249,24 @@ def _sub_grid(values):
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 # a batch with genuine violations of the fractional-power upper bound (s = 0.5)
 # next to refusals (s = 0.3)
-@example(ineq="beta-upper", count=3, seed=4, q="2", s="0.3,0.5", alpha="2", beta="1")
+@example(ineq="beta-upper", count=3, seed=4, grid={"s": "0.3,0.5", "beta": "1"})
 @given(
-    ineq=st.sampled_from(["squared", "power", "tightened", "chained", "beta-lower", "beta-upper"]),
+    ineq=st.sampled_from(list(CHECK_GRIDS)),
     count=st.integers(1, 3),
     seed=st.integers(0, 2**16),
-    q=_sub_grid(["0.5", "2", "3"]),  # q = 0.5 lies outside region R
-    s=_sub_grid(["0.3", "0.5", "0.8", "1"]),  # s = 0.3 is outside the beta bounds' range
-    alpha=_sub_grid(["1", "2", "3"]),  # alpha = 1 has no power statement
-    beta=_sub_grid(["0.5", "1", "1.5"]),  # beta = 1.5 is outside [0, 1]
+    grid=st.fixed_dictionaries(
+        {
+            "q": _sub_grid(["0.5", "2", "3"]),  # q = 0.5 lies outside region R
+            # s = 0.3 is outside the beta bounds' range
+            "s": _sub_grid(["0.3", "0.5", "0.8", "1"]),
+            "alpha": _sub_grid(["1", "2", "3"]),  # alpha = 1 has no power statement
+            "beta": _sub_grid(["0.5", "1", "1.5"]),  # beta = 1.5 is outside [0, 1]
+        }
+    ),
 )
-def test_check_random_never_confuses_refusals_and_violations(
-    ineq, count, seed, q, s, alpha, beta
-):
+def test_check_random_never_confuses_refusals_and_violations(ineq, count, seed, grid):
     args = ["check", "--ineq", ineq, "--random", str(count), "--seed", str(seed)]
-    args += ["--q", q, "--s", s, "--alpha", alpha, "--beta", beta, "--format", "json"]
+    args += [f"--{name}={grid[name]}" for name in CHECK_GRIDS[ineq]] + ["--format", "json"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(args)
@@ -253,11 +281,7 @@ def test_check_random_never_confuses_refusals_and_violations(
         assert code == (3 if summary["refused"] > 0 else 0)
     assert len(rows) == summary["held"] + summary["violated"]
     assert summary["violated"] == len(violated)
-    if ineq.startswith("beta"):
-        calls = len(s.split(",")) * len(beta.split(","))
-    else:
-        per_point = 1 if ineq == "squared" else len(alpha.split(","))
-        calls = len(q.split(",")) * len(s.split(",")) * per_point
+    calls = math.prod(len(grid[name].split(",")) for name in CHECK_GRIDS[ineq])
     assert summary["held"] + summary["refused"] + summary["violated"] == count * calls
 
 
@@ -283,14 +307,15 @@ def test_measure_rows_are_finite(tmp_path_factory, state, q, s):
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
-    ineq=st.sampled_from(["squared", "power", "tightened", "chained", "beta-lower", "beta-upper"]),
+    ineq=st.sampled_from(list(CHECK_GRIDS)),
     seed=st.integers(0, 2**16),
     alpha=_sub_grid(["-1", "2", "3"]),
     beta=_sub_grid(["0", "0.5", "1"]),
 )
 def test_check_rows_are_finite(ineq, seed, alpha, beta):
-    args = ["check", "--ineq", ineq, "--random", "2", "--seed", str(seed), "--q", "2,3"]
-    code, rows = _csv_stdout(args + ["--s", "0.5,1", f"--alpha={alpha}", "--beta", beta])
+    grid = {"q": "2,3", "s": "0.5,1", "alpha": alpha, "beta": beta}
+    args = ["check", "--ineq", ineq, "--random", "2", "--seed", str(seed)]
+    code, rows = _csv_stdout(args + [f"--{name}={grid[name]}" for name in CHECK_GRIDS[ineq]])
     assert code in (0, 3, 4)
     for row in rows:
         for key in ("q", "s", "lhs", "rhs", "margin"):
@@ -338,10 +363,10 @@ def test_check_random_rejects_focus_beyond_two_blocks(tmp_path, capsys, ineq):
         (["--ineq", "power", "--random", "3", "--focus", "0"], "1-based"),
         (["--ineq", "squared", "--preset", "example1", "--partition", "1;2,3", "--focus", "3"],
          "--focus 3 exceeds the 2"),
-        (["--ineq", "tightened", "--random", "3", "--focus", "3"], "tightened fixes its focus"),
-        (["--ineq", "chained", "--random", "3", "--focus", "1"], "chained fixes its focus"),
-        (["--ineq", "beta-lower", "--preset", "example1", "--focus", "1"], "beta-lower fixes"),
-        (["--ineq", "beta-upper", "--random", "3", "--focus", "2"], "beta-upper fixes"),
+        (["--ineq", "tightened", "--random", "3", "--focus", "3"], "tightened does not read"),
+        (["--ineq", "chained", "--random", "3", "--focus", "1"], "chained does not read"),
+        (["--ineq", "beta-lower", "--preset", "example1", "--focus", "1"], "beta-lower does not"),
+        (["--ineq", "beta-upper", "--random", "3", "--focus", "2"], "beta-upper does not"),
     ],
     ids=["zero", "zero-random", "above-blocks", "tightened", "chained", "beta-lower", "beta-upper"],
 )
@@ -351,6 +376,104 @@ def test_check_rejects_an_invalid_focus_before_drawing(capsys, args, witness):
     assert out == ""
     assert "--focus" in err and witness in err
     assert "held" not in err  # no instance was drawn
+
+
+_UNREAD = [
+    (ineq, flag) for ineq, reads in CHECK_READS.items() for flag in CHECK_FLAG_DEFAULTS
+    if flag not in reads
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (
+            ["check", "--ineq", ineq, "--random", "2", flag, CHECK_FLAG_DEFAULTS[flag]],
+            f"--ineq {ineq} does not read {flag}",
+        )
+        for ineq, flag in _UNREAD
+    ]
+    + [
+        (["pre", "--kind", "pairwise", "--n", "6", flag, value], f"pairwise does not read {flag}")
+        for flag, value in (("--m", "2"), ("--a", "3"), ("--b", "5"))
+    ]
+    + [
+        (
+            ["pre", "--kind", "block", "--n", "6", "--b", "5", "--m-list", "1,2"],
+            "--kind block does not read --m-list",
+        ),
+    ]
+    + [
+        (argv, f"--preset {' '.join(tokens)}; use 'example1' or 'uniform-w N [D]'")
+        for tokens, argv in (
+            (("example1", "foo"), ["measure", "--preset", "example1", "foo", "--pairs"]),
+            (("example1", "foo", "bar"), ["measure", "--preset", "example1", "foo", "bar"]),
+            (("uniform-w", "4", "2", "9"), ["measure", "--preset", "uniform-w", "4", "2", "9"]),
+            (
+                ("uniform-w", "4", "2", "9", "9"),
+                ["check", "--ineq", "squared", "--preset", "uniform-w", "4", "2", "9", "9"],
+            ),
+        )
+    ],
+    ids=[f"{ineq}{flag}" for ineq, flag in _UNREAD]
+    + ["pre-pairwise-m", "pre-pairwise-a", "pre-pairwise-b", "pre-block-m-list"]
+    + ["preset-example1-1", "preset-example1-2", "preset-uniform-w-3", "preset-uniform-w-4"],
+)
+def test_unread_flags_and_extra_preset_tokens_are_refused(capsys, argv, named):
+    # a flag the chosen --ineq or --kind does not read, or a preset token beyond
+    # 'example1' or 'uniform-w N [D]', is refused before any state is drawn
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert named in err
+    assert "held" not in err  # no batch summary
+
+
+@pytest.mark.parametrize("ineq", list(CHECK_READS))
+def test_check_flags_at_their_defaults_change_no_byte(ineq):
+    # the explicit effective default of every flag an inequality reads gives the
+    # bytes of the run without flags, on a random batch and on one state, where
+    # --partition spells out the default singleton blocks
+    n = 3 if ineq == "tightened" else 4
+    explicit = [
+        token for flag in CHECK_READS[ineq] if flag != "--partition"
+        for token in (flag, CHECK_FLAG_DEFAULTS[flag])
+    ]
+    singletons = ["--partition", ";".join(map(str, range(1, n + 1)))]
+    if "--partition" not in CHECK_READS[ineq]:
+        singletons = []
+    for mode, given in (
+        (["--random", "6", "--seed", "3"], explicit),
+        (["--preset", "uniform-w", str(n)], explicit + singletons),
+    ):
+        base = ["check", "--ineq", ineq, *mode, "--format", "json"]
+        runs = []
+        for argv in (base, base + given):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            runs.append((code, out.getvalue(), err.getvalue()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 3, 4)
+
+
+def test_check_calls_the_checker_bound_in_the_cli_module(monkeypatch, capsys):
+    # a wrapper put on gwmono.cli.check_* (as the benchmark tracer does) must see
+    # every call, so the inequality table cannot hold function objects
+    import gwmono.cli
+
+    calls = []
+    original = gwmono.cli.check_squared_monogamy
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gwmono.cli, "check_squared_monogamy", counting)
+    args = ["check", "--ineq", "squared", "--random", "3", "--seed", "7", "--s", "0.8,1"]
+    assert main(args) in (0, 3)
+    assert len(calls) == 6
 
 
 def _as_row(report):
@@ -445,17 +568,17 @@ def test_measure_prints_no_negative_zero(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--ineq", "power", "--alpha", "nan"],
-        ["--ineq", "power", "--alpha", "inf"],
+        ["--ineq", "power", "--partition", "1;2;3", "--alpha", "nan"],
+        ["--ineq", "power", "--partition", "1;2;3", "--alpha", "inf"],
         ["--ineq", "beta-lower", "--beta", "nan"],
-        ["--ineq", "tightened", "--mu", "inf", "--alpha", "4"],
-        ["--ineq", "squared", "--q", "2,-inf"],
+        ["--ineq", "tightened", "--partition", "1;2;3", "--mu", "inf", "--alpha", "4"],
+        ["--ineq", "squared", "--partition", "1;2;3", "--q", "2,-inf"],
     ],
     ids=["alpha-nan", "alpha-inf", "beta-nan", "mu-inf", "q-minus-inf"],
 )
 def test_check_non_finite_parameter_is_input_error(tmp_path, capsys, flags):
     out = tmp_path / "rows.csv"
-    args = ["check", "--preset", "example1", "--partition", "1;2;3", "--out", str(out)]
+    args = ["check", "--preset", "example1", "--out", str(out)]
     assert run(args + flags) == 2
     assert "expected a finite number" in capsys.readouterr().err
     assert not out.exists()
