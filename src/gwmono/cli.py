@@ -126,12 +126,20 @@ def _float(text: str) -> float:
     return value
 
 
+def _tokens(text: str) -> list[str]:
+    """The entries of a comma-separated list flag; an empty list or entry is refused."""
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"expected a comma-separated list with no empty entry, got {text!r}")
+    return tokens
+
+
 def _float_list(text: str) -> list[float]:
-    return [_float(tok) for tok in text.split(",") if tok.strip()]
+    return [_float(tok) for tok in _tokens(text)]
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [int(tok) for tok in _tokens(text)]
 
 
 def _parse_partition(text: str) -> Partition:
@@ -400,7 +408,7 @@ def _cmd_check(args) -> int:
     else:
         state = _resolve_state(args)
         partition = Partition.singletons(range(1, state.n + 1))
-        if args.partition:
+        if args.partition is not None:
             partition = _parse_partition(args.partition)
         if args.focus > partition.r:
             raise ValueError(f"--focus {args.focus} exceeds the {partition.r} partition blocks")

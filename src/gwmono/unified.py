@@ -227,6 +227,7 @@ _BB_MIN, _BB_MAX = 1e-10, 1e10  # Barzilai-Borwein step lengths are clipped to t
 _GRAD_TOL = 1e-11  # a gradient norm at most this times the start value ends the restart
 _GAIN_TOL = 1e-15  # an accepted step gaining at most this times the start value ends it too
 _STEP_TOL = 1e-10  # a step no longer than this ends the restart
+_FLOOR = np.finfo(float).eps  # step * |grad|^2 at most this times the value ends it too
 _STALL_CALLS = 50  # the solve ends once the best value has gained at most
 _STALL_TOL = 1e-9  # this fraction of itself over the last _STALL_CALLS calls
 
@@ -250,7 +251,7 @@ def _decomposition_values(
     w = np.sum(members.real**2 + members.imag**2, axis=-1)
     det = members[..., 0] * members[..., 3] - members[..., 1] * members[..., 2]
     t = det.real**2 + det.imag**2
-    gap = np.sqrt(np.clip(w**2 - 4.0 * t, 0.0, None))
+    gap = np.sqrt(np.maximum(w**2 - 4.0 * t, 0.0))
     live = w > 0.0
     w = np.where(live, w, 1.0)
     lam_hi = (w + gap) / (2.0 * w)
@@ -258,10 +259,11 @@ def _decomposition_values(
     spectra = np.stack((lam_hi, lam_lo), axis=-1).reshape(-1, 2)
     entropy = np.where(live, _entropy_rows(spectra, params).reshape(w.shape), 0.0)
     # dF/dt = e / g and dF/dw = E - 2 t dF/dt / w with e = dE/dlam_lo; the
-    # t term is taken as 0 where t = 0 or g = 0
+    # t term is taken as 0 where t = 0 or g = 0: there the slope is taken at
+    # the flat spectrum (1/2, 1/2), where it is 0, so no power of 0 is formed
     smooth = (t > 0.0) & (gap > 0.0)
-    d_t = np.zeros_like(t)
-    d_t[smooth] = _entropy_slope(lam_lo[smooth], lam_hi[smooth], params) / gap[smooth]
+    slope = _entropy_slope(np.where(smooth, lam_lo, 0.5), np.where(smooth, lam_hi, 0.5), params)
+    d_t = slope / np.where(smooth, gap, 1.0)
     d_w = entropy - 2.0 * t * d_t / w
     cofactors = np.stack(
         (members[..., 3], -members[..., 2], -members[..., 1], members[..., 0]), axis=-1
@@ -271,10 +273,19 @@ def _decomposition_values(
 
 
 def _orthonormal(x: np.ndarray) -> np.ndarray:
-    """Q factor of each matrix in ``x``, with the phases of R's diagonal moved into Q."""
-    q, r = np.linalg.qr(x)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    """Q factor of each ``(m, 2)`` matrix in ``x`` whose R has a positive real diagonal.
+
+    Two-column Gram-Schmidt.  The projection runs twice, so the second column
+    stays orthogonal to the first to rounding even when a long step has left
+    the two nearly parallel.
+    """
+    first, second = x[..., :1], x[..., 1:]
+    first = first / np.sqrt(np.sum(first.real**2 + first.imag**2, axis=-2, keepdims=True))
+    across = np.conj(np.swapaxes(first, -1, -2))
+    for _ in range(2):
+        second = second - first @ (across @ second)
+    second = second / np.sqrt(np.sum(second.real**2 + second.imag**2, axis=-2, keepdims=True))
+    return np.concatenate((first, second), axis=-1)
 
 
 def _tangent(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -306,8 +317,9 @@ def convex_roof_ue_rank2(
     The gradient is closed-form (Wirtinger derivatives of ``w_k`` and
     ``|det M_k|^2`` with the slope of the entropy in each regime), projected
     onto the tangent space ``G - U sym(U^H G)``; each step moves against it
-    and retracts onto the isometries by QR (Riemannian descent on the
-    Stiefel manifold; Wen & Yin, Math. Program. 142, 397 (2013)).  Step
+    and retracts onto the isometries by the Q factor of a QR, here
+    Gram-Schmidt on the two columns (Riemannian descent on the Stiefel
+    manifold; Wen & Yin, Math. Program. 142, 397 (2013)).  Step
     lengths are Barzilai-Borwein, long and short in turn, clipped to
     [1e-10, 1e10]; a step is accepted when it realises 1e-4 of its predicted
     decrease and lowers the value strictly, and is halved otherwise.  All
@@ -320,10 +332,16 @@ def convex_roof_ue_rank2(
     The stops are relative to ``scale``, the eigendecomposition's value,
     an upper bound on the roof.  A restart ends once its gradient norm is at
     most 1e-11 ``scale``, once an accepted step gains at most 1e-15
-    ``scale``, or once its step is at most 1e-10 long.  The solve ends when
-    every restart has, or once the best value has gained at most 1e-9 of
-    itself over the last 50 evaluations, which only cuts slow crawls toward
-    the non-smooth minima at ``q <= 1/2``.  ``max_sweeps`` caps each
+    ``scale``, once its step is at most 1e-10 long, or once ``step |G|^2``
+    is at most machine epsilon times its value (the rounding floor).  That
+    last stop drops no gain the search could resolve: the decrease the step
+    predicts, ``2 step |G|^2``, is then a few rounding units of the value,
+    below the rounding error of the value itself, so the strict-decrease
+    test can pass only by rounding; and a step is only halved until one is
+    accepted, so every later trial predicts less still.  The solve ends
+    when every restart has, or once the best value has gained at most 1e-9
+    of itself over the last 50 evaluations, which only cuts slow crawls
+    toward the non-smooth minima at ``q <= 1/2``.  ``max_sweeps`` caps each
     restart's accepted iterations; a ``RuntimeWarning`` is emitted if any
     restart is still moving there, and the best value reached so far is
     returned.
@@ -367,9 +385,9 @@ def convex_roof_ue_rank2(
     u = np.concatenate((np.eye(m, r)[None], _orthonormal(gauss[0] + 1j * gauss[1])))
     values, grads = _decomposition_values(u, compact, params)
     grads = _tangent(u, grads)
-    norms = np.linalg.norm(grads, axis=(1, 2))
+    norms = np.sqrt(np.sum(grads.real**2 + grads.imag**2, axis=(1, 2)))
     scale = values[0]
-    steps = 1.0 / np.clip(norms, _BB_MIN, _BB_MAX)  # a first step of unit length
+    steps = 1.0 / np.minimum(np.maximum(norms, _BB_MIN), _BB_MAX)  # a first step of unit length
     iterations = np.zeros(len(u), dtype=int)
     is_open = (norms > _GRAD_TOL * scale) & (max_sweeps > 0)
     capped = max_sweeps <= 0
@@ -377,6 +395,8 @@ def convex_roof_ue_rank2(
     while True:
         trying = np.flatnonzero(is_open)
         short = steps[trying] * norms[trying] <= _STEP_TOL
+        # at the rounding floor only rounding can pass the strict-decrease test
+        short |= steps[trying] * norms[trying] ** 2 <= _FLOOR * np.abs(values[trying])
         is_open[trying[short]] = False
         trying = trying[~short]
         if not trying.size:
@@ -395,9 +415,9 @@ def convex_roof_ue_rank2(
         gg = np.maximum(np.sum(dg.real**2 + dg.imag**2, axis=(1, 2)), 1e-300)
         iterations[new] += 1
         bb = np.where(iterations[new] % 2 == 1, ss / sg, sg / gg)  # long, then short
-        steps[new] = np.clip(bb, _BB_MIN, _BB_MAX)
+        steps[new] = np.minimum(np.maximum(bb, _BB_MIN), _BB_MAX)
         u[new], values[new], grads[new] = trial, trial_values[ok], new_grads
-        norms[new] = np.linalg.norm(new_grads, axis=(1, 2))
+        norms[new] = np.sqrt(np.sum(new_grads.real**2 + new_grads.imag**2, axis=(1, 2)))
         done = (gains <= _GAIN_TOL * scale) | (norms[new] <= _GRAD_TOL * scale)
         at_cap = iterations[new] >= max_sweeps
         capped |= bool((at_cap & ~done).any())

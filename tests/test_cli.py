@@ -614,6 +614,51 @@ def test_check_random_rejects_state_and_partition_flags(capsys, flags):
     assert "held" not in err  # rejected before any instance is drawn
 
 
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["check", "--ineq", "squared", "--random", "5", "--seed", "1", "--q", ""], ""),
+        (["check", "--ineq", "beta-upper", "--preset", "example1", "--beta", ""], ""),
+        (["check", "--ineq", "squared", "--preset", "example1", "--q", "2,,3"], "2,,3"),
+        (["check", "--ineq", "squared", "--preset", "example1", "--partition", "1,,2;3"], "1,,2"),
+        (["check", "--ineq", "chained", "--random", "1", "--mu", "1,"], "1,"),
+        (["pre", "--kind", "pairwise", "--n", "6", "--q", ""], ""),
+        (["pre", "--kind", "pairwise", "--n", "6", "--m-list", " ,2"], " ,2"),
+        (["pre", "--kind", "block", "--n", "6", "--b", "5", "--a", ""], ""),
+        (["measure", "--preset", "example1", "--pairs", "--q", ""], ""),
+        (["measure", "--preset", "example1", "--pairs", "--s", ","], ","),
+    ],
+    ids=[
+        "check-q", "check-beta", "check-q-inner", "check-partition-block", "check-mu-trailing",
+        "pre-q", "pre-m-list-blank", "pre-a", "measure-q", "measure-s",
+    ],
+)
+def test_empty_list_entries_are_refused(capsys, argv, given):
+    # an empty list would check nothing and print a bare header with exit 0
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert f"no empty entry, got {given!r}" in err
+    assert "held" not in err  # no batch summary
+
+
+def test_empty_partition_is_refused(capsys):
+    # an empty --partition once fell back to one block per site
+    assert run(["check", "--ineq", "squared", "--preset", "example1", "--partition", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: partition needs at least one block\n"
+
+
+def test_partition_skips_blank_blocks(capsys):
+    base = ["check", "--ineq", "squared", "--preset", "example1", "--q", "2"]
+    assert run(base + ["--partition", "1;2;3"]) == 0
+    plain = capsys.readouterr().out
+    assert run(base + ["--partition", "1;;2; ;3;"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_unknown_preset_is_input_error():
     assert run(["measure", "--preset", "nonsense", "--pairs"]) == 2
     assert run(["measure", "--preset", "uniform-w", "0", "--pairs"]) == 2

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gwmono as gm
-from gwmono.unified import UEParams, _decomposition_values, _entropy_rows
+from gwmono import unified
+from gwmono.unified import UEParams, _decomposition_values, _entropy_rows, _orthonormal
 from conftest import random_gw_state
 
 P21 = UEParams(2.0, 1.0)
@@ -404,6 +405,71 @@ def test_decomposition_value_near_product_member():
     want = weight * _entropy_rows(np.array([[1.0, 1e-18]]), params)[0]
     assert want > 1e-6
     assert value[0] == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(2, 4), batch=st.integers(1, 3), data=st.data())
+def test_orthonormal_matches_qr(m, batch, data):
+    # the Q factor whose R has a positive real diagonal is unique, so two-column
+    # Gram-Schmidt must agree with Householder QR once QR's diagonal phases move into Q
+    x = _complex_array(data, (batch, m, 2)) + np.eye(m, 2)
+    assume(np.all(np.linalg.cond(x) <= 10.0))
+    q, r = np.linalg.qr(x)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    want = q * (diag / np.abs(diag))[..., None, :]
+    got = _orthonormal(x)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    gram = np.conj(np.swapaxes(got, -1, -2)) @ got
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+
+
+def test_orthonormal_nearly_parallel_columns():
+    # one projection leaves the second column off orthogonal by about eps times
+    # the condition number (1e-9 here); the repeated projection removes that
+    rng = np.random.default_rng(0)
+    first = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    nudge = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    got = _orthonormal(np.stack((first, first + 1e-7 * nudge), axis=-1))
+    gram = np.conj(np.swapaxes(got, -1, -2)) @ got
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+
+
+@pytest.mark.parametrize("sites, seed", [((1, 2), 2), ((1, 3), 3), ((2, 4), 5)])
+def test_roof_stops_at_the_rounding_floor(example1, example1_vec, monkeypatch, sites, seed):
+    # once a restart's predicted decrease is below one rounding unit of its value,
+    # only rounding can pass the strict-decrease test, so the restart ends there
+    calls = []
+    kernel = unified._decomposition_values
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(unified, "_decomposition_values", counted)
+    roof = gm.convex_roof_ue_rank2(gm.reduce(example1_vec, sites), P21, rng=seed)
+    target = gm.f_qs(gm.pair_concurrence(example1, sites[:1], sites[1:]), P21)
+    assert len(calls) <= 10
+    assert abs(roof - target) <= 1e-15
+
+
+def test_roof_matches_analytic_map_tightly_inside_region_r():
+    # criterion 07's grid lies inside R, where the roof is the map; away from weak
+    # pairs (C >= 1e-2) the search reaches it to rounding of the value
+    grid = [(1.2, 0.4), (2.0, 1.0), (2.0, 0.6), (3.0, 0.9), (1.0, 0.5), (2.5, 0.25)]
+    rng = np.random.default_rng(20261020)
+    solved = 0
+    while solved < 24:
+        state = random_gw_state(rng, n_hi=6, d_hi=3)
+        sites = sorted(int(x) for x in rng.choice(np.arange(1, state.n + 1), 2, replace=False))
+        c = gm.pair_concurrence(state, sites[:1], sites[1:])
+        if c < 1e-2:
+            continue
+        params = UEParams(*grid[solved % len(grid)])
+        assert params.in_region_r
+        rho = gm.reduce(gm.to_state_vector(state), sites)
+        roof = gm.convex_roof_ue_rank2(rho, params, rng=int(rng.integers(0, 2**31)))
+        assert abs(roof - gm.f_qs(c, params)) <= 1e-13
+        solved += 1
 
 
 def _generic_rank2(seed):
