@@ -370,7 +370,8 @@ def _cmd_check(args) -> int:
     all_reports: list[MonogamyReport] = []
     tally = {"held": 0, "refused": 0, "violated": 0}
     if args.random:
-        ignored = [f"--{name}" for name in ("preset", "state", "partition") if getattr(args, name)]
+        given = ("preset", "state", "partition")
+        ignored = [f"--{name}" for name in given if getattr(args, name) is not None]
         if ignored:
             raise ValueError(
                 f"--random draws its own states and partitions; drop {', '.join(ignored)}"

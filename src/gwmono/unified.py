@@ -179,22 +179,6 @@ def _entropy_rows(lams: np.ndarray, params: UEParams) -> np.ndarray:
     return values + 0.0  # as in _f_from_u: no -0.0 for a pure spectrum
 
 
-def _entropy_slope(lam_lo: np.ndarray, lam_hi: np.ndarray, params: UEParams) -> np.ndarray:
-    """``dE/dlam_lo`` of a two-level spectrum ``(lam_hi, lam_lo)``, ``0 < lam_lo <= lam_hi``.
-
-    The derivative of :func:`_entropy_rows` along ``lam_hi = 1 - lam_lo``,
-    in the same four regimes.
-    """
-    if params.regime == "q_near_1":
-        return np.log(lam_hi / lam_lo)
-    q = params.q
-    slope = q * (lam_lo ** (q - 1.0) - lam_hi ** (q - 1.0)) / (1.0 - q)
-    if params.regime == "s_near_1":
-        return slope
-    s = 0.0 if params.regime == "s_near_0" else params.s
-    return slope * (lam_lo**q + lam_hi**q) ** (s - 1.0)
-
-
 def unified_entropy(rho: DensityMatrix, params: UEParams) -> float:
     """Unified (q, s) entropy of a density matrix, in nats."""
     return float(_entropy_rows(rho.spectrum()[None, :], params)[0])
@@ -230,6 +214,9 @@ _STEP_TOL = 1e-10  # a step no longer than this ends the restart
 _FLOOR = np.finfo(float).eps  # step * |grad|^2 at most this times the value ends it too
 _STALL_CALLS = 50  # the solve ends once the best value has gained at most
 _STALL_TOL = 1e-9  # this fraction of itself over the last _STALL_CALLS calls
+# the cofactor matrix of a flattened 2x2 matrix (a, b, c, d) is (d, -c, -b, a):
+# the matrix reversed, times these signs
+_COFACTOR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _decomposition_values(
@@ -246,30 +233,60 @@ def _decomposition_values(
     E(lam_k)`` and their Wirtinger gradients ``G`` with respect to
     ``conj(u)``: along a direction ``V`` the value changes at the rate
     ``2 Re <G, V>``.
+
+    The entropy ``E`` and its slope ``dE/dlam_lo`` along ``lam_hi = 1 -
+    lam_lo`` are evaluated together on the two levels, in the regime of
+    ``params`` (the formulas of :func:`unified_entropy`), and share their
+    powers or logarithms.
     """
-    members = u @ source
-    w = np.sum(members.real**2 + members.imag**2, axis=-1)
-    det = members[..., 0] * members[..., 3] - members[..., 1] * members[..., 2]
+    batch, m, r = u.shape
+    members = (u.reshape(-1, r) @ source).reshape(batch, m, 4)
+    flat = members.view(np.float64)
+    w = np.einsum("bki,bki->bk", flat, flat)
+    cofactors = members[..., ::-1] * _COFACTOR_SIGNS
+    det = members[..., 0] * cofactors[..., 0] + members[..., 1] * cofactors[..., 1]
     t = det.real**2 + det.imag**2
-    gap = np.sqrt(np.maximum(w**2 - 4.0 * t, 0.0))
-    live = w > 0.0
-    w = np.where(live, w, 1.0)
-    lam_hi = (w + gap) / (2.0 * w)
-    lam_lo = 2.0 * t / (w * (w + gap))
-    spectra = np.stack((lam_hi, lam_lo), axis=-1).reshape(-1, 2)
-    entropy = np.where(live, _entropy_rows(spectra, params).reshape(w.shape), 0.0)
-    # dF/dt = e / g and dF/dw = E - 2 t dF/dt / w with e = dE/dlam_lo; the
-    # t term is taken as 0 where t = 0 or g = 0: there the slope is taken at
-    # the flat spectrum (1/2, 1/2), where it is 0, so no power of 0 is formed
-    smooth = (t > 0.0) & (gap > 0.0)
-    slope = _entropy_slope(np.where(smooth, lam_lo, 0.5), np.where(smooth, lam_hi, 0.5), params)
-    d_t = slope / np.where(smooth, gap, 1.0)
-    d_w = entropy - 2.0 * t * d_t / w
-    cofactors = np.stack(
-        (members[..., 3], -members[..., 2], -members[..., 1], members[..., 0]), axis=-1
-    )
+    gap = np.sqrt(np.maximum(w * w - 4.0 * t, 0.0))
+    # a zero member adds nothing to the value or the gradient; any finite
+    # spectrum will do for it
+    w_safe = np.where(w > 0.0, w, 1.0)
+    wide = w_safe + gap
+    lam_hi = wide / (2.0 * w_safe)
+    two_t = 2.0 * t
+    lam_lo = two_t / (w_safe * wide)
+    lo_safe = np.where(lam_lo > 0.0, lam_lo, 1.0)
+    q = params.q
+    regime = params.regime
+    if regime == "q_near_1":
+        log_hi, log_lo = np.log(lam_hi), np.log(lo_safe)
+        entropy = 0.0 - (lam_hi * log_hi + lam_lo * log_lo)
+        slope = log_hi - log_lo
+    else:
+        pow_hi, pow_lo = lam_hi**q, lam_lo**q
+        power_sum = pow_hi + pow_lo
+        slope = (pow_lo / lo_safe - pow_hi / lam_hi) * (q / (1.0 - q))
+        if regime == "s_near_0":
+            entropy = np.log(power_sum) / (1.0 - q)
+            slope = slope / power_sum
+        elif regime == "s_near_1":
+            entropy = (power_sum - 1.0) / (1.0 - q)
+        else:
+            powered = power_sum**params.s
+            entropy = (powered - 1.0) / ((1.0 - q) * params.s)
+            slope = slope * powered / power_sum
+    # dF/dt = e / g and dF/dw = E - 2 t dF/dt / w with e = dE/dlam_lo.  Where
+    # t = 0 the slope stays finite and D = 0, so its term drops out; where
+    # g = 0 the spectrum is flat, the slope is 0, and dividing by inf says so
+    d_t = slope / np.where(gap > 0.0, gap, np.inf)
+    d_w = entropy - two_t * d_t / w_safe
     grads = d_w[..., None] * members + (d_t * det)[..., None] * cofactors.conj()
-    return np.sum(w * entropy, axis=-1), grads @ source.conj().T
+    grads = (grads.reshape(-1, 4) @ source.conj().T).reshape(batch, m, r)
+    return (w * entropy).sum(-1), grads
+
+
+def _re_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``Re <x_b, y_b>`` for each pair of matrices of two contiguous complex stacks."""
+    return np.einsum("bij,bij->b", x.view(np.float64), y.view(np.float64))
 
 
 def _orthonormal(x: np.ndarray) -> np.ndarray:
@@ -280,18 +297,18 @@ def _orthonormal(x: np.ndarray) -> np.ndarray:
     the two nearly parallel.
     """
     first, second = x[..., :1], x[..., 1:]
-    first = first / np.sqrt(np.sum(first.real**2 + first.imag**2, axis=-2, keepdims=True))
-    across = np.conj(np.swapaxes(first, -1, -2))
+    first = first / np.sqrt((first.real**2 + first.imag**2).sum(-2, keepdims=True))
+    across = first.conj()
     for _ in range(2):
-        second = second - first @ (across @ second)
-    second = second / np.sqrt(np.sum(second.real**2 + second.imag**2, axis=-2, keepdims=True))
+        second = second - first * (across * second).sum(-2, keepdims=True)
+    second = second / np.sqrt((second.real**2 + second.imag**2).sum(-2, keepdims=True))
     return np.concatenate((first, second), axis=-1)
 
 
 def _tangent(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Project gradients onto the tangent space of the isometries: ``G - U sym(U^H G)``."""
-    inner = np.conj(np.swapaxes(u, -1, -2)) @ grads
-    return grads - u @ (inner + np.conj(np.swapaxes(inner, -1, -2))) / 2.0
+    inner = u.swapaxes(-1, -2).conj() @ grads
+    return grads - u @ (inner + inner.swapaxes(-1, -2).conj()) / 2.0
 
 
 def convex_roof_ue_rank2(
@@ -322,12 +339,18 @@ def convex_roof_ue_rank2(
     manifold; Wen & Yin, Math. Program. 142, 397 (2013)).  Step
     lengths are Barzilai-Borwein, long and short in turn, clipped to
     [1e-10, 1e10]; a step is accepted when it realises 1e-4 of its predicted
-    decrease and lowers the value strictly, and is halved otherwise.  All
-    restarts share each batched evaluation, each on its own schedule.
+    decrease and lowers the value strictly, and is halved otherwise.
     ``restarts`` restarts start from Haar-random isometries (QR of a complex
     Gaussian drawn from ``rng``, seed or generator, so a fixed seed
     reproduces the result), and one more from the eigendecomposition
     ``U = [I; 0]``, a stationary point on GW two-site reductions.
+
+    All open restarts form one batch, each on its own schedule: every
+    iteration evaluates one trial per open restart in one kernel call, then
+    accepts it or halves the step under one mask over the whole batch.  A
+    restart that stops leaves the batch; since accepted steps only lower a
+    value, the best value so far is carried as one number, and the arrays
+    are compacted only in an iteration where some restart stops.
 
     The stops are relative to ``scale``, the eigendecomposition's value,
     an upper bound on the roof.  A restart ends once its gradient norm is at
@@ -351,11 +374,9 @@ def convex_roof_ue_rank2(
     if len(rho.dims) != 2:
         raise ValueError(f"need a two-subsystem state, got dims {rho.dims}")
     d1, d2 = rho.dims
-    evals, vecs = np.linalg.eigh(rho.entries)
-    order = np.argsort(evals)[::-1]
-    evals = np.clip(evals[order], 0.0, None)
-    vecs = vecs[:, order]
-    rank = int(np.sum(evals > _RANK_TOL))
+    evals, vecs = np.linalg.eigh(rho.entries)  # eigenvalues in ascending order
+    evals, vecs = np.maximum(evals[::-1], 0.0), vecs[:, ::-1]
+    rank = int((evals > _RANK_TOL).sum())
     if rank > 2:
         raise ValueError(f"state rank {rank} exceeds 2 (third eigenvalue {evals[2]:.3e})")
     r = max(rank, 1)
@@ -368,8 +389,8 @@ def convex_roof_ue_rank2(
     # every decomposition state must stay inside a 2x2 effective support;
     # rewriting the source in that support's local bases keeps every
     # member's Schmidt spectrum and reduces it to a 2x2 determinant
-    left, col_sv, _ = np.linalg.svd(np.hstack(source))
-    _, row_sv, right = np.linalg.svd(np.vstack(source))
+    left, col_sv, _ = np.linalg.svd(source.transpose(1, 0, 2).reshape(d1, r * d2))
+    _, row_sv, right = np.linalg.svd(source.reshape(r * d1, d2))
     if (col_sv[2:] > _RANK_TOL).any() or (row_sv[2:] > _RANK_TOL).any():
         raise ValueError("effective support is not 2x2")
     compact = np.zeros((r, 2, 2), dtype=np.complex128)
@@ -385,44 +406,47 @@ def convex_roof_ue_rank2(
     u = np.concatenate((np.eye(m, r)[None], _orthonormal(gauss[0] + 1j * gauss[1])))
     values, grads = _decomposition_values(u, compact, params)
     grads = _tangent(u, grads)
-    norms = np.sqrt(np.sum(grads.real**2 + grads.imag**2, axis=(1, 2)))
+    norms = np.sqrt(_re_inner(grads, grads))
     scale = values[0]
     steps = 1.0 / np.minimum(np.maximum(norms, _BB_MIN), _BB_MAX)  # a first step of unit length
     iterations = np.zeros(len(u), dtype=int)
-    is_open = (norms > _GRAD_TOL * scale) & (max_sweeps > 0)
+    keep = norms > _GRAD_TOL * scale if max_sweeps > 0 else np.zeros(len(u), dtype=bool)
     capped = max_sweeps <= 0
-    best = [np.min(values)]  # the best value after each evaluation
+    best = [values.min()]  # the best value after each evaluation
     while True:
-        trying = np.flatnonzero(is_open)
-        short = steps[trying] * norms[trying] <= _STEP_TOL
+        predicted = steps * norms**2  # half the decrease the step predicts
         # at the rounding floor only rounding can pass the strict-decrease test
-        short |= steps[trying] * norms[trying] ** 2 <= _FLOOR * np.abs(values[trying])
-        is_open[trying[short]] = False
-        trying = trying[~short]
-        if not trying.size:
-            break
-        trial = _orthonormal(u[trying] - steps[trying, None, None] * grads[trying])
+        keep &= (steps * norms > _STEP_TOL) & (predicted > _FLOOR * np.abs(values))
+        if not keep.all():
+            if not keep.any():
+                break
+            u, grads, values, norms = u[keep], grads[keep], values[keep], norms[keep]
+            steps, iterations, predicted = steps[keep], iterations[keep], predicted[keep]
+        trial = _orthonormal(u - steps[:, None, None] * grads)
         trial_values, trial_grads = _decomposition_values(trial, compact, params)
-        gains = values[trying] - trial_values
+        gains = values - trial_values
         # strict decrease too: near the minimum the Armijo margin rounds away
-        ok = (gains >= 2.0 * _ARMIJO * steps[trying] * norms[trying] ** 2) & (gains > 0.0)
-        steps[trying[~ok]] *= _BACKTRACK
-        new, gains, trial = trying[ok], gains[ok], trial[ok]
-        new_grads = _tangent(trial, trial_grads[ok])
-        ds, dg = trial - u[new], new_grads - grads[new]
-        ss = np.sum(ds.real**2 + ds.imag**2, axis=(1, 2))
-        sg = np.maximum(np.abs(np.sum((ds.conj() * dg).real, axis=(1, 2))), 1e-300)
-        gg = np.maximum(np.sum(dg.real**2 + dg.imag**2, axis=(1, 2)), 1e-300)
-        iterations[new] += 1
-        bb = np.where(iterations[new] % 2 == 1, ss / sg, sg / gg)  # long, then short
-        steps[new] = np.minimum(np.maximum(bb, _BB_MIN), _BB_MAX)
-        u[new], values[new], grads[new] = trial, trial_values[ok], new_grads
-        norms[new] = np.sqrt(np.sum(new_grads.real**2 + new_grads.imag**2, axis=(1, 2)))
-        done = (gains <= _GAIN_TOL * scale) | (norms[new] <= _GRAD_TOL * scale)
-        at_cap = iterations[new] >= max_sweeps
+        ok = (gains >= 2.0 * _ARMIJO * predicted) & (gains > 0.0)
+        trial_grads = _tangent(trial, trial_grads)
+        trial_norms = np.sqrt(_re_inner(trial_grads, trial_grads))
+        ds, dg = trial - u, trial_grads - grads
+        ss, sg, gg = _re_inner(ds, ds), np.abs(_re_inner(ds, dg)), _re_inner(dg, dg)
+        iterations += ok
+        # long, then short
+        bb = np.where(iterations & 1, ss / np.maximum(sg, 1e-300), sg / np.maximum(gg, 1e-300))
+        steps *= _BACKTRACK
+        np.copyto(steps, np.minimum(np.maximum(bb, _BB_MIN), _BB_MAX), where=ok)
+        accepted = ok[:, None, None]
+        np.copyto(u, trial, where=accepted)
+        np.copyto(grads, trial_grads, where=accepted)
+        np.copyto(values, trial_values, where=ok)
+        np.copyto(norms, trial_norms, where=ok)
+        # only an accepted step can reach the cap, and it stops there
+        at_cap = iterations >= max_sweeps
+        done = ok & ((gains <= _GAIN_TOL * scale) | (trial_norms <= _GRAD_TOL * scale))
         capped |= bool((at_cap & ~done).any())
-        is_open[new[done | at_cap]] = False
-        best.append(np.min(values))
+        keep = ~(done | at_cap)
+        best.append(min(best[-1], values.min()))
         if len(best) > _STALL_CALLS and best[-1 - _STALL_CALLS] - best[-1] <= _STALL_TOL * best[-1]:
             break
     if capped:
@@ -431,4 +455,4 @@ def convex_roof_ue_rank2(
             RuntimeWarning,
             stacklevel=2,
         )
-    return float(np.min(values))
+    return float(best[-1]) + 0.0  # as in _entropy_rows: no -0.0 for a product state

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 import gwmono as gm
+
+# a larger example budget for tests that take theirs from the loaded profile
+# (tests/test_cli_contract.py); CI runs that file under it in a step of its own:
+#   python -m pytest tests/test_cli_contract.py --hypothesis-profile=cli-contract
+settings.register_profile("cli-contract", max_examples=1500)
 
 
 @pytest.fixture

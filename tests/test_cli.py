@@ -600,8 +600,11 @@ def test_check_negative_random_count_is_input_error(tmp_path, capsys):
         ["--preset", "uniform-w", "4"],
         ["--state", "state.json"],
         ["--partition", "1;2;3"],
+        # an empty value is given too; the batch once ignored it
+        ["--partition", ""],
+        ["--state", ""],
     ],
-    ids=["preset-partition", "preset", "state", "partition"],
+    ids=["preset-partition", "preset", "state", "partition", "partition-empty", "state-empty"],
 )
 def test_check_random_rejects_state_and_partition_flags(capsys, flags):
     args = ["check", "--ineq", "squared", "--random", "1", "--q", "2"]

@@ -452,6 +452,40 @@ def test_roof_stops_at_the_rounding_floor(example1, example1_vec, monkeypatch, s
     assert abs(roof - target) <= 1e-15
 
 
+_PRODUCT_FACTOR = np.array([0.6, 0.8j])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        np.diag([0.3, 0.0, 0.0, 0.7]),  # a classical mixture
+        np.kron(np.diag([0.3, 0.7]), np.outer(_PRODUCT_FACTOR, _PRODUCT_FACTOR.conj())),
+    ],
+    ids=["classical-mixture", "product"],
+)
+@pytest.mark.parametrize("params", [P21, UEParams(2.5, 0.25), UEParams(1.0, 0.5)], ids=str)
+def test_roof_keeps_a_restart_that_stops_at_once(monkeypatch, entries, params):
+    # the eigendecomposition start is the minimiser here (every member is a product,
+    # value 0) and stops at once; the restart batch drops it while the random
+    # restarts go on (on the product state every decomposition has value 0, so
+    # all stop at once), and the returned value must still be the best start value
+    batches = []
+    kernel = unified._decomposition_values
+
+    def spied(u, source, params):
+        values, grads = kernel(u, source, params)
+        batches.append((len(u), values.copy()))
+        return values, grads
+
+    monkeypatch.setattr(unified, "_decomposition_values", spied)
+    roof = gm.convex_roof_ue_rank2(gm.DensityMatrix((2, 2), entries), params, rng=11)
+    (first_size, starts), *later = batches
+    assert starts[0] == 0.0 and first_size == 21
+    assert all(size < first_size for size, _ in later)  # the eigen start left the batch
+    assert roof <= starts.min()
+    assert roof == 0.0 and math.copysign(1.0, roof) == 1.0
+
+
 def test_roof_matches_analytic_map_tightly_inside_region_r():
     # criterion 07's grid lies inside R, where the roof is the map; away from weak
     # pairs (C >= 1e-2) the search reaches it to rounding of the value
