@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _block_excitation_vector(excitations: list[np.ndarray], block0: list[int]) -> np.ndarray:
+def _block_excitation_vector(excitations: Sequence[np.ndarray], block0: list[int]) -> np.ndarray:
     """Unnormalised single-excitation vector of the sites ``block0`` in their local space.
 
     ``excitations[t]`` holds the amplitudes of site ``t`` at levels 1.. with
@@ -232,19 +232,15 @@ def gw_block_concurrence_oracle(
     two-dimensional local supports ``span{|0...0>, |single excitation>}`` of
     each block, and evaluates the two-qubit mixed-state concurrence of the
     embedded state.  The one W-class check is on entry: the vacuum plus
-    single-excitation weight must lie within ``GW_FORM_TOL`` of 1.  The part
+    single-excitation weight must lie within ``GW_FORM_TOL`` of 1.  That
+    weight and the per-site excitation views are computed once per vector
+    and kept on it; the tolerance test itself runs on every call.  The part
     of ``psi`` in that subspace reduces to rank <= 2 inside the projected
     support and the rest projects orthogonally to it, so the weight the
     projection drops and the third eigenvalue are at most the weight outside.
     """
-    n = psi.n_sites
-    p_sites, q_sites = _block_sites(block_p, block_q, n)
-    tensor = psi.amps.reshape(psi.dims)
-    excitations = [tensor[_excitation_slot(n, t)] for t in range(n)]
-    weight = sum(
-        (float(np.sum(np.abs(e) ** 2)) for e in excitations),
-        abs(complex(psi.amps[0])) ** 2,
-    )
+    p_sites, q_sites = _block_sites(block_p, block_q, psi.n_sites)
+    excitations, weight = psi._w_form
     if abs(weight - 1.0) > GW_FORM_TOL:
         raise ValueError(
             "vector carries weight outside the single-excitation-plus-vacuum "
@@ -265,8 +261,9 @@ def gw_block_concurrence_oracle(
     vac_q = np.zeros(e_q.size, dtype=np.complex128)
     vac_q[0] = 1.0
     u_p, u_q = e_p / x_p, e_q / x_q
+    # columns |00>, |01>, |10>, |11> of the effective two-qubit basis
     basis = np.column_stack(
-        [np.kron(vac_p, vac_q), np.kron(vac_p, u_q), np.kron(u_p, vac_q), np.kron(u_p, u_q)]
+        [np.multiply.outer(a, b).ravel() for a in (vac_p, u_p) for b in (vac_q, u_q)]
     )
 
     mat = _kept_by_traced(psi, p0 + q0)

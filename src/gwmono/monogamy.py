@@ -43,7 +43,7 @@ class HypothesisNotMet(Exception):
         super().__init__(f"hypothesis not met: {detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     name: str
     ok: bool
@@ -53,7 +53,7 @@ class Hypothesis:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonogamyReport:
     """One evaluated inequality instance; ``margin >= 0`` means it holds."""
 

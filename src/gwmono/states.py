@@ -127,6 +127,24 @@ class PureStateVector:
     def n_sites(self) -> int:
         return len(self.dims)
 
+    @functools.cached_property
+    def _w_form(self) -> tuple[tuple[np.ndarray, ...], float]:
+        """Per-site single-excitation amplitudes and the vacuum-plus-single-excitation weight.
+
+        Entry ``t`` of the first item holds site ``t`` (0-based) at levels
+        1.. with every other site at 0, as a read-only view of ``amps``.  The
+        weight sums the vacuum first, then site by site.  ``amps`` is
+        read-only, so one evaluation per vector stays valid.
+        """
+        n = self.n_sites
+        tensor = self.amps.reshape(self.dims)
+        excitations = tuple(tensor[_excitation_slot(n, t)] for t in range(n))
+        weight = sum(
+            (float(np.sum(np.abs(e) ** 2)) for e in excitations),
+            abs(complex(self.amps[0])) ** 2,
+        )
+        return excitations, weight
+
 
 @dataclass(frozen=True)
 class DensityMatrix:

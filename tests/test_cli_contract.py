@@ -1,10 +1,10 @@
-"""README's exit-code contract of ``gw check`` and ``gw pre``, on generated argv.
+"""README's exit-code contract of ``gw check``, ``gw pre`` and ``gw measure``, on generated argv.
 
 The argv come from the CLI's own tables: ``cli._INEQUALITIES`` (the flags each
 ``--ineq`` reads), ``cli._PRE_READS`` (the flags each ``pre --kind`` reads) and
-the option strings of the parser.  Each flag is left out, given a value the
-command accepts, or given a value it refuses.  Whatever the outcome, it must
-have the shape README states:
+the option strings of the parser (all of them for ``measure``).  Each flag is
+left out, given a value the command accepts, or given a value it refuses.
+Whatever the outcome, it must have the shape README states:
 
 - exit 0, 3 or 4 with the rows of every evaluated call (a refused call of a
   ``--random`` batch writes none; a single state refused exits 3 with one
@@ -13,9 +13,9 @@ have the shape README states:
 - never a traceback.
 
 An argv holding an input that is invalid on every state (an unread flag, a
-non-finite or empty list entry, a ``--focus`` below 1, a negative
-``--random``, ``--random`` beside a state, a bad preset or a missing state
-file) must exit 2.  argparse's own errors (an unknown flag, a non-integer
+non-finite or empty list entry, a ``--focus`` below 1, a ``measure --cut``,
+``--q`` or ``--s`` out of range, a negative ``--random``, ``--random`` beside
+a state, a bad preset or a missing state file) must exit 2.  argparse's own errors (an unknown flag, a non-integer
 ``--k``) are left out: they exit 2 with argparse's usage text.
 
 The example budget follows the loaded hypothesis profile; CI runs this file
@@ -43,6 +43,7 @@ def _flags(command: str) -> dict:
 
 CHECK_FLAGS = _flags("check")
 PRE_FLAGS = _flags("pre")
+MEASURE_FLAGS = _flags("measure")
 
 #: Values each check flag accepts on some state, and values it refuses on every state.
 _LISTS = ("q", "s", "alpha", "beta", "mu", "h", "p_factor")
@@ -75,7 +76,17 @@ PRE_VALID = {
 }
 PRE_INVALID = {"a": ("", "1,,2", "x"), "m_list": ("", "2,", "x")}
 
+#: Values each measure flag accepts on every preset, and values it refuses on every preset.
+MEASURE_VALID = {"cut": ("1", "2", "3"), "q": ("2", "3", "0.5", "1"), "s": ("1", "0.5", "0")}
+MEASURE_INVALID = {
+    "cut": ("0", "-1", "9"),
+    "q": _BAD_NUMBERS + ("0", "-2"),
+    "s": _BAD_NUMBERS + ("-1",),
+}
+
 PRESETS = (("example1",), ("uniform-w", "4"), ("uniform-w", "5", "2"))
+#: Site count of each preset.
+PRESET_SITES = dict(zip(PRESETS, (4, 4, 5)))
 BAD_PRESETS = (("example1", "x"), ("uniform-w",), ("bogus",), ("uniform-w", "4", "2", "9"))
 
 
@@ -87,6 +98,8 @@ def test_tables_match_the_parser():
         assert set(ineq.reads.split()) <= set(cli._CHECK_DEFAULTS)
     assert {name for reads in cli._PRE_READS.values() for name in reads} == set(PRE_VALID)
     assert set(cli._PRE_DEFAULTS) <= set(PRE_FLAGS)
+    # measure_argv draws every measure flag but the output path
+    assert set(MEASURE_FLAGS) == {"help", "preset", "state", "pairs", "format", "out", *MEASURE_VALID}
 
 
 def _now_and_then(draw, odds: int) -> bool:
@@ -171,6 +184,41 @@ def pre_argv(draw):
     return argv, len(q.split(",")), refused
 
 
+@st.composite
+def measure_argv(draw):
+    """``(argv, rows, refused)`` of one ``gw measure`` run; ``rows`` is its record count."""
+    argv, refused, given = ["measure"], False, {}
+    for name in MEASURE_VALID:
+        if _now_and_then(draw, 2):
+            continue
+        text, bad = _value(draw, MEASURE_VALID, MEASURE_INVALID, name)
+        refused |= bad
+        given[name] = text
+        argv.append(f"{MEASURE_FLAGS[name]}={text}")
+    pairs = draw(st.booleans())
+    if pairs:
+        argv.append(MEASURE_FLAGS["pairs"])
+    preset = ()
+    if _now_and_then(draw, 6):
+        source = draw(st.sampled_from(("bad-preset", "state", "none")))
+        refused = True
+    else:
+        source = "preset"
+    if source == "preset":
+        preset = draw(st.sampled_from(PRESETS))
+        argv += [MEASURE_FLAGS["preset"], *preset]
+    elif source == "bad-preset":
+        argv += [MEASURE_FLAGS["preset"], *draw(st.sampled_from(BAD_PRESETS))]
+    elif source == "state":
+        argv += [MEASURE_FLAGS["state"], "no-such-state.json"]
+    argv += [MEASURE_FLAGS["format"], draw(st.sampled_from(("csv", "json")))]
+    # one record per (q, s) for each site pair (with --pairs or without --cut) and for the cut
+    n = PRESET_SITES.get(preset, 0)
+    grid = len(given.get("q", "2").split(",")) * len(given.get("s", "1").split(","))
+    labels = (n * (n - 1) // 2 if pairs or "cut" not in given else 0) + ("cut" in given)
+    return argv, grid * labels, refused
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -239,3 +287,16 @@ def test_pre_keeps_the_exit_code_contract(case):
         return
     assert code == 0 and err == []
     assert len(_rows(out, "json" in argv)) == q_count
+
+
+@_CONTRACT
+@given(case=measure_argv())
+def test_measure_keeps_the_exit_code_contract(case):
+    argv, rows, refused = case
+    code, out, err = _run(argv)
+    if code == 2 or refused:
+        assert code == 2, argv
+        _input_error(out, err)
+        return
+    assert code == 0 and err == []
+    assert len(_rows(out, "json" in argv)) == rows

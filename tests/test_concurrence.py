@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gwmono as gm
-from gwmono.concurrence import GW_FORM_TOL, BlockCut, PairKind
+from gwmono.concurrence import (
+    _ZERO_WEIGHT,
+    GW_FORM_TOL,
+    BlockCut,
+    PairKind,
+    _block_excitation_vector,
+    _block_sites,
+)
+from gwmono.states import _excitation_slot, _kept_by_traced
 from conftest import gw_states, random_gw_state, random_partition
 
 SQRT2 = math.sqrt(2.0)
@@ -189,6 +197,130 @@ def test_oracle_block_validation(example1_vec):
         gm.gw_block_concurrence_oracle(example1_vec, (), (1,))
     with pytest.raises(ValueError, match="range"):
         gm.gw_block_concurrence_oracle(example1_vec, (1,), (9,))
+
+
+def _kron_basis_oracle(psi, block_p, block_q):
+    """The oracle as it stood with its ``np.kron`` basis and a W-form built on every call."""
+    n = psi.n_sites
+    p_sites, q_sites = _block_sites(block_p, block_q, n)
+    tensor = psi.amps.reshape(psi.dims)
+    excitations = [tensor[_excitation_slot(n, t)] for t in range(n)]
+    weight = sum(
+        (float(np.sum(np.abs(e) ** 2)) for e in excitations),
+        abs(complex(psi.amps[0])) ** 2,
+    )
+    if abs(weight - 1.0) > GW_FORM_TOL:
+        raise ValueError("not a W-class state")
+    p0 = [s - 1 for s in p_sites]
+    q0 = [s - 1 for s in q_sites]
+    e_p = _block_excitation_vector(excitations, p0)
+    e_q = _block_excitation_vector(excitations, q0)
+    x_p = float(np.linalg.norm(e_p))
+    x_q = float(np.linalg.norm(e_q))
+    if x_p**2 < _ZERO_WEIGHT or x_q**2 < _ZERO_WEIGHT:
+        return 0.0
+    vac_p = np.zeros(e_p.size, dtype=np.complex128)
+    vac_p[0] = 1.0
+    vac_q = np.zeros(e_q.size, dtype=np.complex128)
+    vac_q[0] = 1.0
+    u_p, u_q = e_p / x_p, e_q / x_q
+    basis = np.column_stack(
+        [np.kron(vac_p, vac_q), np.kron(vac_p, u_q), np.kron(u_p, vac_q), np.kron(u_p, u_q)]
+    )
+    coords = basis.conj().T @ _kept_by_traced(psi, p0 + q0)
+    rho_eff = coords @ coords.conj().T
+    rho_eff /= np.trace(rho_eff).real
+    return gm.wootters_concurrence(gm.DensityMatrix(dims=(2, 2), entries=rho_eff))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(state=gw_states(), data=st.data())
+def test_oracle_matches_the_kron_basis_bit_for_bit(state, data):
+    sites = data.draw(st.permutations(range(1, state.n + 1)))
+    a = data.draw(st.integers(1, min(3, state.n - 1)))
+    b = data.draw(st.integers(a + 1, min(a + 3, state.n)))
+    block_p, block_q = sites[:a], sites[a:b]
+    vec = gm.to_state_vector(state)
+    assert gm.gw_block_concurrence_oracle(vec, block_p, block_q) == _kron_basis_oracle(
+        vec, block_p, block_q
+    )
+
+
+@pytest.mark.parametrize("vacuum_weight", [1.0, 0.4])
+def test_oracle_zero_weight_block_matches_the_kron_basis(vacuum_weight):
+    table = np.array([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.48j, 0.64]])
+    state = gm.make_gwv_state(gm.make_gw_state(4, 3, table), vacuum_weight)
+    vec = gm.to_state_vector(state)
+    for block_p, block_q in (((2,), (1,)), ((2, 3), (1, 4)), ((1,), (2, 3))):
+        assert gm.gw_block_concurrence_oracle(vec, block_p, block_q) == 0.0
+        assert _kron_basis_oracle(vec, block_p, block_q) == 0.0
+    assert gm.gw_block_concurrence_oracle(vec, (1, 2), (3, 4)) == _kron_basis_oracle(
+        vec, (1, 2), (3, 4)
+    )
+
+
+def _count_w_forms(monkeypatch) -> list:
+    """Record each evaluation of the cached ``PureStateVector._w_form``."""
+    cached = vars(gm.PureStateVector)["_w_form"]
+    evaluate = cached.func
+    evaluated = []
+
+    def counting(psi):
+        evaluated.append(psi)
+        return evaluate(psi)
+
+    monkeypatch.setattr(cached, "func", counting)  # fails unless it is a cached_property
+    return evaluated
+
+
+def test_checker_computes_the_w_form_once(example1, monkeypatch):
+    evaluated = _count_w_forms(monkeypatch)
+    oracle_calls = []
+    oracle = gm.gw_block_concurrence_oracle
+
+    def counting_oracle(psi, block_p, block_q):
+        oracle_calls.append(psi)
+        return oracle(psi, block_p, block_q)
+
+    monkeypatch.setattr("gwmono.monogamy.gw_block_concurrence_oracle", counting_oracle)
+    gm.check_squared_monogamy(example1, gm.Partition(((1,), (2,), (3,), (4,))), 0, gm.UEParams(2, 1))
+    assert len(oracle_calls) == 4  # the focus block against the rest, then each other block
+    assert len(evaluated) == 1 and evaluated[0] is oracle_calls[0]
+
+
+def test_w_form_is_evaluated_once_per_vector(example1_vec, monkeypatch):
+    evaluated = _count_w_forms(monkeypatch)
+    pairs = [((1,), (2,)), ((1,), (3,)), ((2, 3), (4,)), ((1,), (2, 3, 4))]
+    first = [gm.gw_block_concurrence_oracle(example1_vec, p, q) for p, q in pairs]
+    again = [gm.gw_block_concurrence_oracle(example1_vec, p, q) for p, q in pairs]
+    assert first == again
+    assert evaluated == [example1_vec]
+    other = gm.to_state_vector(gm.make_gw_state(4, 2, [math.sqrt(0.5), 0.5, 0.4, 0.3]))
+    gm.gw_block_concurrence_oracle(other, (1,), (2,))
+    assert len(evaluated) == 2  # a new vector computes its own
+
+
+def test_w_form_refusal_repeats_on_every_call():
+    vec = gm.PureStateVector((2, 2, 2), np.ones(8) / math.sqrt(8))
+    messages = []
+    for block_p, block_q in (((1,), (2,)), ((1,), (2,)), ((2,), (1, 3))):
+        with pytest.raises(ValueError, match="not a W-class state") as info:
+            gm.gw_block_concurrence_oracle(vec, block_p, block_q)
+        messages.append(str(info.value))
+    assert messages == [
+        "vector carries weight outside the single-excitation-plus-vacuum subspace "
+        "(missing 5.000e-01); not a W-class state"
+    ] * 3
+
+
+def test_amplitudes_are_read_only(example1_vec):
+    # the cached W-form holds views of `amps`; it stays valid only because they cannot change
+    with pytest.raises(ValueError, match="read-only"):
+        example1_vec.amps[1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        example1_vec._w_form[0][0][0] = 0.0
+    with pytest.raises(AttributeError):
+        example1_vec.amps = np.zeros(16)
 
 
 def test_block_cut_geometry():

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -407,6 +410,42 @@ def test_report_serialization(example1):
     assert set(payload) == {"inequality_id", "lhs", "rhs", "margin", "hypotheses", "params"}
     assert payload["hypotheses"][0].keys() == {"name", "ok", "detail"}
     assert payload["params"]["in_region"] is True
+
+
+def test_reports_are_slotted_values(example1):
+    rep = gm.check_squared_monogamy(example1, three_site_partition(), 0, P21)
+    hyp = rep.hypotheses[0]
+    for obj in (rep, hyp):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(obj)[0].name, None)
+        # no slot for a new attribute: CPython 3.10-3.12 raise TypeError, not FrozenInstanceError
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = 1
+        assert copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert rep == gm.check_squared_monogamy(example1, three_site_partition(), 0, P21)
+    moved = dataclasses.replace(rep, margin=-1.0)
+    assert moved.margin == -1.0 and moved.lhs == rep.lhs and moved != rep
+    assert dataclasses.replace(hyp, ok=False) == Hypothesis(hyp.name, False, hyp.detail)
+    assert rep.to_dict() == {
+        "inequality_id": "squared",
+        "lhs": rep.lhs,
+        "rhs": rep.rhs,
+        "margin": rep.margin,
+        "hypotheses": [
+            {"name": "params_in_validity_region", "ok": True, "detail": "q=2.0, s=1.0"}
+        ],
+        "params": {
+            "q": 2.0,
+            "s": 1.0,
+            "in_region": True,
+            "basic_bounds": True,
+            "focus": 0,
+            "blocks": ((1,), (2,), (3,)),
+        },
+    }
+    assert pickle.loads(pickle.dumps(rep)).to_dict() == rep.to_dict()
 
 
 def test_bound_comparison_series_ordering():
