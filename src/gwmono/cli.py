@@ -178,7 +178,9 @@ def _emit(text: str, out: str) -> None:
 
 
 def _resolve_state(args):
-    if getattr(args, "preset", None):
+    if args.preset is not None and args.state is not None:
+        raise ValueError("pass --preset or --state, not both")
+    if args.preset:
         name, *extra = args.preset
         usage = "use 'example1' or 'uniform-w N [D]'"
         if name == "example1" and not extra:
@@ -190,7 +192,7 @@ def _resolve_state(args):
         if name in ("example1", "uniform-w"):
             raise ValueError(f"too many tokens in --preset {' '.join(args.preset)}; {usage}")
         raise ValueError(f"unknown preset {name!r}; {usage}")
-    if getattr(args, "state", None):
+    if args.state:
         return load_state_json(args.state)
     raise ValueError("no state source: pass --preset or --state")
 

@@ -48,15 +48,19 @@ GW_FORM_TOL = 1e-10
 #: A block whose excitation weight is below this is treated as unentangled.
 _ZERO_WEIGHT = 1e-24
 
-# (sigma_y (x) sigma_y) in the {00, 01, 10, 11} product basis.
+# (sigma_y (x) sigma_y) in the {00, 01, 10, 11} product basis, stored complex:
+# a matmul with complex eigenvectors casts a real operand to exactly this
+# array on every call
 _SPIN_FLIP = np.array(
     [
         [0.0, 0.0, 0.0, -1.0],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
         [-1.0, 0.0, 0.0, 0.0],
-    ]
+    ],
+    dtype=np.complex128,
 )
+_SPIN_FLIP.setflags(write=False)
 
 
 class PairSource(str, Enum):
@@ -158,14 +162,16 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"need a two-qubit state with dims (2, 2), got {rho.dims}")
-    evals, vecs = np.linalg.eigh(rho.entries)
-    root = np.sqrt(np.clip(evals, 0.0, None))
+    evals, vecs = rho._eigh  # the decomposition the PSD test of `rho` made
+    root = np.sqrt(np.maximum(evals, 0.0))
     sym = (vecs.T @ _SPIN_FLIP @ vecs) * root[:, None] * root[None, :]
-    lam = np.linalg.svd(sym, compute_uv=False)  # descending
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    l1, l2, l3, l4 = np.linalg.svd(sym, compute_uv=False).tolist()  # descending
+    return max(0.0, l1 - l2 - l3 - l4)
 
 
-def _block_excitation_vector(excitations: Sequence[np.ndarray], block0: list[int]) -> np.ndarray:
+def _block_excitation_vector(
+    excitations: Sequence[np.ndarray], block0: Sequence[int]
+) -> np.ndarray:
     """Unnormalised single-excitation vector of the sites ``block0`` in their local space.
 
     ``excitations[t]`` holds the amplitudes of site ``t`` at levels 1.. with
@@ -175,6 +181,33 @@ def _block_excitation_vector(excitations: Sequence[np.ndarray], block0: list[int
     for i, t in enumerate(block0):
         local[_excitation_slot(len(block0), i)] = excitations[t]
     return local.ravel()
+
+
+def _block_side(psi: PureStateVector, block0: tuple[int, ...]) -> np.ndarray | None:
+    """Rows: the vacuum and the unit excitation vector of the sites ``block0`` in their local space.
+
+    ``None`` when the block carries less than ``_ZERO_WEIGHT`` of excitation
+    weight.  Kept in ``psi._block_table``, so each block is built once per
+    vector.
+    """
+    table = psi._block_table
+    if block0 not in table:
+        table[block0] = _build_block_side(psi._w_form[0], block0)
+    return table[block0]
+
+
+def _build_block_side(
+    excitations: Sequence[np.ndarray], block0: tuple[int, ...]
+) -> np.ndarray | None:
+    e = _block_excitation_vector(excitations, block0)
+    x = float(np.linalg.norm(e))
+    if x**2 < _ZERO_WEIGHT:
+        return None
+    side = np.zeros((2, e.size), dtype=np.complex128)
+    side[0, 0] = 1.0
+    np.divide(e, x, out=side[1])
+    side.setflags(write=False)
+    return side
 
 
 def _block_sites(
@@ -233,45 +266,42 @@ def gw_block_concurrence_oracle(
     each block, and evaluates the two-qubit mixed-state concurrence of the
     embedded state.  The one W-class check is on entry: the vacuum plus
     single-excitation weight must lie within ``GW_FORM_TOL`` of 1.  That
-    weight and the per-site excitation views are computed once per vector
-    and kept on it; the tolerance test itself runs on every call.  The part
-    of ``psi`` in that subspace reduces to rank <= 2 inside the projected
-    support and the rest projects orthogonally to it, so the weight the
-    projection drops and the third eigenvalue are at most the weight outside.
+    weight, the per-site excitation views and each block's unit excitation
+    vector are computed once per vector and kept on it; the tolerance test
+    itself runs on every call.  The part of ``psi`` in that subspace reduces
+    to rank <= 2 inside the projected support and the rest projects
+    orthogonally to it, so the weight the projection drops and the third
+    eigenvalue are at most the weight outside.
     """
     p_sites, q_sites = _block_sites(block_p, block_q, psi.n_sites)
-    excitations, weight = psi._w_form
+    weight = psi._w_form[1]
     if abs(weight - 1.0) > GW_FORM_TOL:
         raise ValueError(
             "vector carries weight outside the single-excitation-plus-vacuum "
             f"subspace (missing {1.0 - weight:.3e}); not a W-class state"
         )
 
-    p0 = [s - 1 for s in p_sites]
-    q0 = [s - 1 for s in q_sites]
-    e_p = _block_excitation_vector(excitations, p0)
-    e_q = _block_excitation_vector(excitations, q0)
-    x_p = float(np.linalg.norm(e_p))
-    x_q = float(np.linalg.norm(e_q))
-    if x_p**2 < _ZERO_WEIGHT or x_q**2 < _ZERO_WEIGHT:
+    p0 = tuple(s - 1 for s in p_sites)
+    q0 = tuple(s - 1 for s in q_sites)
+    side_p = _block_side(psi, p0)
+    side_q = _block_side(psi, q0)
+    if side_p is None or side_q is None:
         return 0.0  # a block with no excitation weight factors out
 
-    vac_p = np.zeros(e_p.size, dtype=np.complex128)
-    vac_p[0] = 1.0
-    vac_q = np.zeros(e_q.size, dtype=np.complex128)
-    vac_q[0] = 1.0
-    u_p, u_q = e_p / x_p, e_q / x_q
-    # columns |00>, |01>, |10>, |11> of the effective two-qubit basis
-    basis = np.column_stack(
-        [np.multiply.outer(a, b).ravel() for a in (vac_p, u_p) for b in (vac_q, u_q)]
-    )
+    # rows |00>, |01>, |10>, |11> of the conjugated effective two-qubit basis:
+    # entry [a, b, i, j] is side_p[a, i] * side_q[b, j], all four products in
+    # one call.  The conjugate is laid out in Fortran order, as the transpose
+    # of a C-ordered basis, because the matmul below rounds differently for
+    # a C-ordered left operand
+    products = np.multiply(side_p[:, None, :, None], side_q[None, :, None, :])
+    basis_h = np.conjugate(products.reshape(4, -1), order="F")
 
     mat = _kept_by_traced(psi, p0 + q0)
     # rows of `coords`: components of each traced-out sector inside the
     # effective basis; rho_eff = coords @ coords* is the projected reduction
-    coords = basis.conj().T @ mat
+    coords = basis_h @ mat
     rho_eff = coords @ coords.conj().T
-    rho_eff /= np.trace(rho_eff).real
+    rho_eff /= rho_eff.trace().real
     return wootters_concurrence(DensityMatrix(dims=(2, 2), entries=rho_eff))
 
 

@@ -18,6 +18,7 @@ block cuts and are used by :mod:`gwmono.residual` alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -88,19 +89,60 @@ def _require(hypotheses: Sequence[Hypothesis]) -> None:
         raise HypothesisNotMet(failed)
 
 
+def _shared(build):
+    """``build(*values)`` made once per distinct ``values`` and shared by every report.
+
+    The cache key holds each value's type and sign as well, so ``2`` and
+    ``2.0``, or ``-0.0`` and ``0.0``, keep their own detail strings.  A
+    value that cannot be keyed (unhashable, or an int too large for a float)
+    is built afresh.
+    """
+    cached = functools.lru_cache(maxsize=256, typed=True)(lambda signs, *values: build(*values))
+
+    @functools.wraps(build)
+    def shared(*values):
+        try:
+            return cached(tuple(math.copysign(1.0, v) for v in values), *values)
+        except (TypeError, OverflowError):
+            return build(*values)
+
+    return shared
+
+
+@_shared
+def _region_at(q: float, s: float) -> Hypothesis:
+    return Hypothesis("params_in_validity_region", in_region_r((q, s)), f"q={q}, s={s}")
+
+
 def _region_hypothesis(params: UEParams) -> Hypothesis:
-    return Hypothesis(
-        "params_in_validity_region",
-        in_region_r(params),
-        f"q={params.q}, s={params.s}",
-    )
+    return _region_at(params.q, params.s)
+
+
+@_shared
+def _alpha_hypothesis(alpha: float) -> Hypothesis:
+    return Hypothesis("alpha_in_valid_range", alpha >= 2.0 or alpha <= 0.0, f"alpha={alpha}")
+
+
+@_shared
+def _three_blocks_hypothesis(r: int) -> Hypothesis:
+    return Hypothesis("at_least_three_blocks_for_reversed_form", r >= 3, f"r={r}")
+
+
+@_shared
+def _s_hypothesis(s: float) -> Hypothesis:
+    return Hypothesis("s_in_half_to_one", 0.5 <= s <= 1.0, f"s={s}")
+
+
+@_shared
+def _beta_hypothesis(beta: float) -> Hypothesis:
+    return Hypothesis("beta_in_unit_interval", 0.0 <= beta <= 1.0, f"beta={beta}")
 
 
 def _params_echo(params: UEParams, **extra) -> dict:
     echo = {
         "q": params.q,
         "s": params.s,
-        "in_region": in_region_r(params),
+        "in_region": _region_hypothesis(params).ok,
         "basic_bounds": params.satisfies_basic_bounds,
     }
     echo.update(extra)
@@ -186,13 +228,9 @@ def check_power_monogamy(
     least three blocks and strictly positive pair values.
     """
     alpha = float(alpha)
-    hypotheses = [
-        _region_hypothesis(params),
-        Hypothesis("alpha_in_valid_range", alpha >= 2.0 or alpha <= 0.0, f"alpha={alpha}"),
-    ]
+    hypotheses = [_region_hypothesis(params), _alpha_hypothesis(alpha)]
     if alpha <= 0.0:
-        r = partition.r
-        hypotheses.append(Hypothesis("at_least_three_blocks_for_reversed_form", r >= 3, f"r={r}"))
+        hypotheses.append(_three_blocks_hypothesis(partition.r))
     kind = "power-reversed" if alpha <= 0.0 else "power"
     return _power_report(kind, state, partition, focus, params, alpha, hypotheses, {"alpha": alpha})
 
@@ -444,10 +482,7 @@ def _beta_report(
     ``X`` (``Y``) is the sum of the analytic pair values seen from site ``a``
     (``b``), each including the ``(a, b)`` pair itself, at ``q = 2``.
     """
-    hypotheses = [
-        Hypothesis("s_in_half_to_one", 0.5 <= s <= 1.0, f"s={s}"),
-        Hypothesis("beta_in_unit_interval", 0.0 <= beta <= 1.0, f"beta={beta}"),
-    ]
+    hypotheses = [_s_hypothesis(s), _beta_hypothesis(beta)]
     _require(hypotheses)
     params = UEParams(q=2.0, s=s)
     psi = to_state_vector(state)

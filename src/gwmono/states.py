@@ -140,15 +140,30 @@ class PureStateVector:
         tensor = self.amps.reshape(self.dims)
         excitations = tuple(tensor[_excitation_slot(n, t)] for t in range(n))
         weight = sum(
-            (float(np.sum(np.abs(e) ** 2)) for e in excitations),
+            (float((np.abs(e) ** 2).sum()) for e in excitations),
             abs(complex(self.amps[0])) ** 2,
         )
         return excitations, weight
 
+    @functools.cached_property
+    def _block_table(self) -> dict:
+        """Per-block data of the concurrence oracle, keyed by the block's sorted 0-based sites.
+
+        ``gwmono.concurrence`` fills it on a block's first use, from
+        ``_w_form``, so each block is built once per vector.  Two threads that
+        miss at once build equal entries, and either may stay.
+        """
+        return {}
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense Hermitian unit-trace PSD matrix over subsystems with dimensions ``dims``."""
+    """Dense Hermitian unit-trace PSD matrix over subsystems with dimensions ``dims``.
+
+    A two-qubit matrix (``dims == (2, 2)``) keeps its ``np.linalg.eigh``
+    decomposition, which serves both the PSD test here and
+    ``wootters_concurrence``; other shapes test with eigenvalues alone.
+    """
 
     dims: tuple[int, ...]
     entries: np.ndarray
@@ -161,15 +176,24 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries are not all finite")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
+        if np.abs(m - m.conj().T).max() > _HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
-        if float(np.min(np.linalg.eigvalsh(m))) < -_EIGENVALUE_TOL:
+        entries = _readonly(m)
+        if dims == (2, 2):
+            evals, vecs = np.linalg.eigh(entries)  # eigenvalues ascending
+            evals.setflags(write=False)
+            vecs.setflags(write=False)
+            object.__setattr__(self, "_eigh", (evals, vecs))
+            smallest = float(evals[0])
+        else:
+            smallest = float(np.min(np.linalg.eigvalsh(m)))
+        if smallest < -_EIGENVALUE_TOL:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", _readonly(m))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -281,8 +305,12 @@ def _require_gw(state: GWState) -> None:
         raise TypeError(f"expected GWState, got {type(state).__name__}")
 
 
+@functools.lru_cache(maxsize=1024)
 def _excitation_slot(n_sites: int, site0: int) -> tuple:
-    """Index of site ``site0`` (0-based) at levels 1.., all others at 0, in a per-site tensor."""
+    """Index of site ``site0`` (0-based) at levels 1.., all others at 0, in a per-site tensor.
+
+    Memoised: every dense build and W-form reads ``n`` of these.
+    """
     return tuple(slice(1, None) if s == site0 else 0 for s in range(n_sites))
 
 

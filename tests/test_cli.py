@@ -662,6 +662,37 @@ def test_partition_skips_blank_blocks(capsys):
     assert capsys.readouterr().out == plain
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["measure", "--pairs"], ["check", "--ineq", "squared"]],
+    ids=["measure", "check"],
+)
+@pytest.mark.parametrize("state_file", ["nofile.json", "example1.json", ""])
+def test_preset_beside_state_is_input_error(tmp_path, capsys, command, state_file):
+    # the state was once dropped without a word, even a missing file
+    if state_file == "example1.json":
+        (tmp_path / state_file).write_text(json.dumps(state_payload(example1_state())))
+    path = str(tmp_path / state_file) if state_file else ""
+    assert run(command + ["--preset", "example1", "--state", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: pass --preset or --state, not both\n"
+
+
+def test_negative_zero_alpha_keeps_its_sign(capsys):
+    # the checkers share one hypothesis per parameter value; -0.0 keeps its own
+    details = {}
+    for alpha in ("0.0", "-0.0", "0.0"):
+        argv = ["check", "--ineq", "power", "--preset", "example1", "--alpha", alpha]
+        assert run(argv + ["--format", "json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        hypothesis = report["hypotheses"][1]
+        assert hypothesis["name"] == "alpha_in_valid_range"
+        details.setdefault(alpha, set()).add(hypothesis["detail"])
+        assert math.copysign(1.0, report["params"]["alpha"]) == math.copysign(1.0, float(alpha))
+    assert details == {"0.0": {"alpha=0.0"}, "-0.0": {"alpha=-0.0"}}
+
+
 def test_unknown_preset_is_input_error():
     assert run(["measure", "--preset", "nonsense", "--pairs"]) == 2
     assert run(["measure", "--preset", "uniform-w", "0", "--pairs"]) == 2

@@ -15,8 +15,12 @@ Whatever the outcome, it must have the shape README states:
 An argv holding an input that is invalid on every state (an unread flag, a
 non-finite or empty list entry, a ``--focus`` below 1, a ``measure --cut``,
 ``--q`` or ``--s`` out of range, a negative ``--random``, ``--random`` beside
-a state, a bad preset or a missing state file) must exit 2.  argparse's own errors (an unknown flag, a non-integer
+a state, ``--preset`` beside ``--state``, a bad preset or a missing state
+file) must exit 2.  argparse's own errors (an unknown flag, a non-integer
 ``--k``) are left out: they exit 2 with argparse's usage text.
+
+Every row of a ``check`` run on a preset must also carry the lhs, rhs and
+margin of a direct call of the library checker, as equal floats.
 
 The example budget follows the loaded hypothesis profile; CI runs this file
 under the larger ``cli-contract`` profile of ``conftest.py``.
@@ -32,6 +36,7 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gwmono as gm
 from gwmono import cli
 
 
@@ -117,12 +122,18 @@ def _value(draw, valid, invalid, name):
     return draw(st.sampled_from(valid[name])), False
 
 
+def _beside_preset(draw) -> list:
+    """Now and then a ``--state`` next to a ``--preset``, even an empty one: refused."""
+    return draw(st.sampled_from((["--state=x.json"], ["--state="]))) if _now_and_then(draw, 8) else []
+
+
 @st.composite
 def check_argv(draw):
-    """``(argv, sweep, random, refused)`` of one ``gw check`` run.
+    """``(argv, sweep, random, preset, refused)`` of one ``gw check`` run.
 
     ``sweep`` maps each swept list the inequality reads to its length,
-    ``random`` is the batch size (0 for a single state), and ``refused`` says
+    ``random`` is the batch size (0 for a single state), ``preset`` the preset
+    tokens of a valid preset run (empty otherwise), and ``refused`` says
     whether the argv holds an input invalid on every state.
     """
     ineq_name = draw(st.sampled_from(sorted(cli._INEQUALITIES)))
@@ -142,7 +153,7 @@ def check_argv(draw):
         source = draw(st.sampled_from(("bad-preset", "state", "none")))
     else:
         source = draw(st.sampled_from(("random", "preset")))
-    random = 0
+    random, preset = 0, ()
     if source == "random":
         random = draw(st.sampled_from((1, 2, 0, -1)))
         argv += [f"--random={random}", f"--seed={draw(st.integers(0, 50))}"]
@@ -153,15 +164,18 @@ def check_argv(draw):
         refused |= random and any(arg.startswith("--partition=") for arg in argv)
         refused |= random == 0  # no state to check
     elif source in ("preset", "bad-preset"):
-        argv += ["--preset", *draw(st.sampled_from(PRESETS if source == "preset" else BAD_PRESETS))]
-        refused |= source == "bad-preset"
+        tokens = draw(st.sampled_from(PRESETS if source == "preset" else BAD_PRESETS))
+        state = _beside_preset(draw)
+        argv += ["--preset", *tokens, *state]
+        refused |= source == "bad-preset" or bool(state)
+        preset = tokens if source == "preset" else ()
     elif source == "state":
         argv += ["--state", "no-such-state.json"]
         refused = True
     else:
         refused = True  # no state source
     argv += ["--format", draw(st.sampled_from(("csv", "json")))]
-    return argv, sweep, max(random, 0), bool(refused)
+    return argv, sweep, max(random, 0), preset, bool(refused)
 
 
 @st.composite
@@ -206,7 +220,9 @@ def measure_argv(draw):
         source = "preset"
     if source == "preset":
         preset = draw(st.sampled_from(PRESETS))
-        argv += [MEASURE_FLAGS["preset"], *preset]
+        state = _beside_preset(draw)
+        argv += [MEASURE_FLAGS["preset"], *preset, *state]
+        refused |= bool(state)
     elif source == "bad-preset":
         argv += [MEASURE_FLAGS["preset"], *draw(st.sampled_from(BAD_PRESETS))]
     elif source == "state":
@@ -237,6 +253,61 @@ def _rows(text, json_format):
     return rows
 
 
+def _preset_state(tokens):
+    """The state a ``--preset`` names, built from the library."""
+    if tokens == ("example1",):
+        return gm.make_gw_state(4, 2, [math.sqrt(0.5), 0.5, 0.4, 0.3])
+    return gm.uniform_w_state(*(int(t) for t in tokens[1:]))
+
+
+def _library_reports(argv, preset):
+    """The reports a ``check`` argv on a preset asks for, from direct checker calls, in row order.
+
+    Flags left out take the defaults of ``cli._CHECK_DEFAULTS``.
+    """
+    dest = {option: name for name, option in CHECK_FLAGS.items()}
+    text = dict(cli._CHECK_DEFAULTS)
+    for arg in argv:
+        option, eq, value = arg.partition("=")
+        if eq and dest.get(option) in text:
+            text[dest[option]] = value
+    floats = {name: [float(v) for v in text[name].split(",")] for name in ("q", "s", "alpha", "beta")}
+    state = _preset_state(preset)
+    if text["partition"] is None:
+        partition = gm.Partition.singletons(range(1, state.n + 1))
+    else:
+        blocks = text["partition"].split(";")
+        partition = gm.Partition(tuple(tuple(int(x) for x in b.split(",")) for b in blocks))
+    params = [gm.UEParams(q, s) for q in floats["q"] for s in floats["s"]]
+    focus, alphas = int(text["focus"]) - 1, floats["alpha"]
+    ineq = argv[argv.index("--ineq") + 1]
+    if ineq == "squared":
+        return [gm.check_squared_monogamy(state, partition, focus, p) for p in params]
+    if ineq == "power":
+        return [gm.check_power_monogamy(state, partition, focus, p, a) for p in params for a in alphas]
+    steps = [[float(v) for v in text[name].split(",")] for name in ("mu", "h", "p_factor")]
+    if ineq == "tightened":
+        mu, h, p_factor = (values[0] for values in steps)
+        return [
+            gm.check_tightened(state, partition, p, mu, h, p_factor, a) for p in params for a in alphas
+        ]
+    if ineq == "chained":
+        # a single mu, h or p applies to every chaining step
+        steps = [v * (partition.r - 2) if len(v) == 1 else v for v in steps]
+        k = int(text["k"])
+        return [gm.check_chained(state, partition, p, k, *steps, a) for p in params for a in alphas]
+    check = gm.check_beta_upper_bound if ineq == "beta-upper" else gm.check_beta_lower_bound
+    a, b = int(text["site_a"]), int(text["site_b"])
+    return [check(state, a, b, beta, s) for s in floats["s"] for beta in floats["beta"]]
+
+
+def _row_values(rows, json_format):
+    """``(lhs, rhs, margin)`` of each row of a ``check`` output."""
+    if json_format:
+        return [(row["lhs"], row["rhs"], row["margin"]) for row in rows]
+    return [tuple(float(v) for v in row[5:8]) for row in rows]  # after inequality, q, s, alpha, beta
+
+
 def _input_error(out, err):
     assert out == ""
     assert len(err) == 1 and err[0].startswith("input error:"), err
@@ -253,7 +324,7 @@ _CONTRACT = settings(
 @_CONTRACT
 @given(case=check_argv())
 def test_check_keeps_the_exit_code_contract(case):
-    argv, sweep, random, refused = case
+    argv, sweep, random, preset, refused = case
     code, out, err = _run(argv)
     if code == 2 or refused:
         assert code == 2, argv
@@ -273,7 +344,10 @@ def test_check_keeps_the_exit_code_contract(case):
         assert len(err) == 1 and err[0].startswith("hypothesis refusal:"), err
     else:
         assert code in (0, 4) and err == []
-        assert len(_rows(out, "json" in argv)) == math.prod(sweep.values())
+        rows = _rows(out, "json" in argv)
+        assert len(rows) == math.prod(sweep.values())
+        expected = [(r.lhs, r.rhs, r.margin) for r in _library_reports(argv, preset)]
+        assert _row_values(rows, "json" in argv) == expected, argv
 
 
 @_CONTRACT

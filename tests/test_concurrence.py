@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gwmono as gm
+from gwmono import concurrence
 from gwmono.concurrence import (
     _ZERO_WEIGHT,
     GW_FORM_TOL,
@@ -199,8 +200,15 @@ def test_oracle_block_validation(example1_vec):
         gm.gw_block_concurrence_oracle(example1_vec, (1,), (9,))
 
 
+# (sigma_y (x) sigma_y) with the real dtype the oracle once used
+_REAL_SPIN_FLIP = np.array(
+    [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
+)
+
+
 def _kron_basis_oracle(psi, block_p, block_q):
-    """The oracle as it stood with its ``np.kron`` basis and a W-form built on every call."""
+    """The oracle as it stood with its ``np.kron`` basis, and a W-form, block vectors and
+    eigendecomposition built on every call."""
     n = psi.n_sites
     p_sites, q_sites = _block_sites(block_p, block_q, n)
     tensor = psi.amps.reshape(psi.dims)
@@ -230,10 +238,21 @@ def _kron_basis_oracle(psi, block_p, block_q):
     coords = basis.conj().T @ _kept_by_traced(psi, p0 + q0)
     rho_eff = coords @ coords.conj().T
     rho_eff /= np.trace(rho_eff).real
-    return gm.wootters_concurrence(gm.DensityMatrix(dims=(2, 2), entries=rho_eff))
+    # Wootters' formula as it stood, on an eigendecomposition of its own
+    evals, vecs = np.linalg.eigh(gm.DensityMatrix(dims=(2, 2), entries=rho_eff).entries)
+    root = np.sqrt(np.clip(evals, 0.0, None))
+    sym = (vecs.T @ _REAL_SPIN_FLIP @ vecs) * root[:, None] * root[None, :]
+    lam = np.linalg.svd(sym, compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+# 150 examples in tier-1; CI runs this test again under the cli-contract profile
+@settings(
+    max_examples=max(150, settings.default.max_examples),
+    deadline=None,
+    database=None,
+    derandomize=True,
+)
 @given(state=gw_states(), data=st.data())
 def test_oracle_matches_the_kron_basis_bit_for_bit(state, data):
     sites = data.draw(st.permutations(range(1, state.n + 1)))
@@ -298,6 +317,48 @@ def test_w_form_is_evaluated_once_per_vector(example1_vec, monkeypatch):
     other = gm.to_state_vector(gm.make_gw_state(4, 2, [math.sqrt(0.5), 0.5, 0.4, 0.3]))
     gm.gw_block_concurrence_oracle(other, (1,), (2,))
     assert len(evaluated) == 2  # a new vector computes its own
+
+
+def _count_block_builds(monkeypatch) -> list:
+    """Record the sorted 0-based sites of each block the oracle builds."""
+    build = concurrence._build_block_side
+    built = []
+
+    def counting(excitations, block0):
+        built.append(block0)
+        return build(excitations, block0)
+
+    monkeypatch.setattr(concurrence, "_build_block_side", counting)
+    return built
+
+
+def test_each_block_is_built_once_per_vector(example1_vec, monkeypatch):
+    built = _count_block_builds(monkeypatch)
+    pairs = [((1,), (2,)), ((1,), (3,)), ((2, 3), (4,)), ((1,), (2, 3, 4)), ((3, 2), (1,))]
+    first = [gm.gw_block_concurrence_oracle(example1_vec, p, q) for p, q in pairs]
+    again = [gm.gw_block_concurrence_oracle(example1_vec, p, q) for p, q in pairs]
+    assert first == again
+    # blocks are keyed by their sorted 0-based sites: (3, 2) is the block (2, 3)
+    assert sorted(built) == [(0,), (1,), (1, 2), (1, 2, 3), (2,), (3,)]
+    other = gm.to_state_vector(gm.make_gw_state(4, 2, [math.sqrt(0.5), 0.5, 0.4, 0.3]))
+    gm.gw_block_concurrence_oracle(other, (1,), (2,))
+    assert built[-2:] == [(0,), (1,)]  # a new vector builds its own
+
+
+def test_checker_builds_each_block_once(example1, monkeypatch):
+    built = _count_block_builds(monkeypatch)
+    gm.check_squared_monogamy(example1, gm.Partition(((1,), (2,), (3,), (4,))), 0, gm.UEParams(2, 1))
+    # the focus block (0,) enters all four oracle calls and is built once
+    assert sorted(built) == [(0,), (1,), (1, 2, 3), (2,), (3,)]
+
+
+def test_zero_weight_block_is_kept_as_none(monkeypatch):
+    built = _count_block_builds(monkeypatch)
+    table = np.array([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.48j, 0.64]])
+    vec = gm.to_state_vector(gm.make_gw_state(4, 3, table))
+    for _ in range(2):
+        assert gm.gw_block_concurrence_oracle(vec, (2,), (1,)) == 0.0
+    assert built == [(1,), (0,)] and vec._block_table[(1,)] is None
 
 
 def test_w_form_refusal_repeats_on_every_call():

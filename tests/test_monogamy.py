@@ -412,6 +412,41 @@ def test_report_serialization(example1):
     assert payload["params"]["in_region"] is True
 
 
+def test_reports_share_parameter_hypotheses(example1):
+    # a hypothesis that reads only parameters is built once per value and shared
+    part = gm.Partition(((1,), (2,), (3,), (4,)))
+    first = gm.check_power_monogamy(example1, part, 0, UEParams(2, 1), -1.0)
+    second = gm.check_squared_monogamy(example1, part, 1, UEParams(2.0, 1.0))
+    assert first.hypotheses[0] is second.hypotheses[0]
+    again = gm.check_power_monogamy(example1, part, 2, UEParams(2, 1), -1.0)
+    assert all(a is b for a, b in zip(first.hypotheses, again.hypotheses))
+    assert [h.detail for h in again.hypotheses] == ["q=2.0, s=1.0", "alpha=-1.0", "r=4"]
+    lower = gm.check_beta_lower_bound(example1, 1, 2, 0.5, 0.75)
+    upper = gm.check_beta_upper_bound(example1, 2, 3, 0.5, 0.75)
+    assert all(a is b for a, b in zip(lower.hypotheses, upper.hypotheses))
+    assert lower.params["in_region"] is gm.in_region_r((2.0, 0.75))
+
+
+def test_shared_hypotheses_keep_sign_and_type(example1):
+    # -0.0 equals 0.0 and 1 equals 1.0, but each prints its own detail
+    region = [
+        gm.check_squared_monogamy(example1, three_site_partition(), 0, UEParams(2, s)).hypotheses[0]
+        for s in (0.0, -0.0, 0.0)
+    ]
+    assert [h.detail for h in region] == ["q=2.0, s=0.0", "q=2.0, s=-0.0", "q=2.0, s=0.0"]
+    assert region[0] is region[2] and region[0] is not region[1]
+    assert [h.ok for h in region] == [gm.in_region_r((2.0, 0.0))] * 3
+    for s in (1, 1.0, 1):
+        report = gm.check_beta_lower_bound(example1, 1, 2, 0.5, s)
+        assert report.hypotheses[0].detail == f"s={s}"
+    for beta in (-0.0, 0.0, -0.0):
+        report = gm.check_beta_upper_bound(example1, 1, 2, beta, 0.5)
+        assert report.hypotheses[1].detail == f"beta={beta}"
+    for _ in range(2):  # nan equals nothing, not even itself: built and refused each time
+        with pytest.raises(HypothesisNotMet, match="beta_in_unit_interval: beta=nan"):
+            gm.check_beta_upper_bound(example1, 1, 2, float("nan"), 0.5)
+
+
 def test_reports_are_slotted_values(example1):
     rep = gm.check_squared_monogamy(example1, three_site_partition(), 0, P21)
     hyp = rep.hypotheses[0]

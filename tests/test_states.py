@@ -253,6 +253,40 @@ def test_density_matrix_validation():
         gm.DensityMatrix((2,), np.diag([1.5, -0.5]))
 
 
+def _with_smallest_eigenvalue(dims, smallest, seed=0):
+    """A trace-1 Hermitian matrix over ``dims`` whose smallest eigenvalue is ``smallest``."""
+    dim = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    unitary, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    rest = np.arange(1.0, dim)
+    evals = np.concatenate([[smallest], (1.0 - smallest) * rest / rest.sum()])
+    m = unitary @ np.diag(evals) @ unitary.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2)])
+def test_density_matrix_psd_gate_is_at_minus_1e_10(dims):
+    for smallest in (-2e-10, -1e-3):
+        with pytest.raises(ValueError, match="negative eigenvalue beyond tolerance"):
+            gm.DensityMatrix(dims, _with_smallest_eigenvalue(dims, smallest))
+    rho = gm.DensityMatrix(dims, _with_smallest_eigenvalue(dims, -5e-11))
+    assert np.linalg.eigvalsh(rho.entries)[0] == pytest.approx(-5e-11, abs=1e-15)
+    assert rho.spectrum()[0] == 0.0  # clipped at zero
+
+
+def test_two_qubit_density_matrix_keeps_its_eigendecomposition():
+    # the PSD test and wootters_concurrence read one eigh; other shapes keep none
+    rho = gm.DensityMatrix((2, 2), _with_smallest_eigenvalue((2, 2), 0.1, seed=3))
+    evals, vecs = rho._eigh
+    expected = np.linalg.eigh(rho.entries)
+    assert np.array_equal(evals, expected[0]) and np.array_equal(vecs, expected[1])
+    assert not evals.flags.writeable and not vecs.flags.writeable
+    assert np.array_equal(rho.spectrum(), np.clip(np.linalg.eigvalsh(rho.entries), 0.0, None))
+    for dims in ((2,), (4,), (3, 3), (2, 2, 2)):
+        other = gm.DensityMatrix(dims, np.eye(math.prod(dims)) / math.prod(dims))
+        assert not hasattr(other, "_eigh")
+
+
 def test_state_json_roundtrip(tmp_path, example1):
     payload = {
         "n": 4,
