@@ -5,10 +5,8 @@ from .concurrence import (
     BlockCut,
     PairKind,
     PairSource,
-    concurrence_pure,
     gw_block_concurrence_oracle,
     pair_concurrence,
-    pair_decomposition_residual,
     pair_matrix,
     pair_source_comparison,
     printed_pair_concurrence_sq,
@@ -22,15 +20,12 @@ from .monogamy import (
     baseline_lower_bound,
     bound_comparison_series,
     chained_lower_bound,
-    chained_lower_bound_folded,
     check_beta_lower_bound,
     check_beta_upper_bound,
     check_chained,
     check_power_monogamy,
     check_squared_monogamy,
     check_tightened,
-    fractional_power_gaps,
-    power_difference_gap,
     tightened_lower_bound,
 )
 from .residual import (
@@ -47,7 +42,6 @@ from .states import (
     load_state_json,
     make_gw_state,
     make_gwv_state,
-    purity,
     reduce,
     to_state_vector,
     uniform_w_state,

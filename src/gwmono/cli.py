@@ -413,6 +413,9 @@ def _cmd_check(args) -> int:
         partition = Partition.singletons(range(1, state.n + 1))
         if args.partition is not None:
             partition = _parse_partition(args.partition)
+        top = partition.covered_sites()[-1]
+        if top > state.n:  # the oracle's refusal, made before any hypothesis can refuse
+            raise ValueError(f"site {top} out of range 1..{state.n}")
         if args.focus > partition.r:
             raise ValueError(f"--focus {args.focus} exceeds the {partition.r} partition blocks")
         all_reports.extend(call() for call in _check_calls(ineq, args, state, partition))

@@ -1,6 +1,6 @@
-"""Concurrence of W-class states: exact pure-state values, a two-qubit
-mixed-state evaluation, an effective-two-qubit reduction pipeline, and the
-published closed-form pair values for uniform W states.
+"""Concurrence of W-class states: a two-qubit mixed-state evaluation, an
+effective-two-qubit reduction pipeline, and the published closed-form pair
+values for uniform W states.
 
 Three routes to a block-pair concurrence coexist on purpose:
 
@@ -38,7 +38,6 @@ from .states import (
     _excitation_slot,
     _kept_by_traced,
     _require_gw,
-    _schmidt_spectrum,
 )
 
 #: Weight outside the single-excitation-plus-vacuum subspace above which a
@@ -139,15 +138,6 @@ class BlockCut:
         """Partition of the non-empty sub-blocks, block-1 parts first."""
         blocks = [b for b in (self.front1, self.back1, self.front2, self.back2) if b]
         return Partition(tuple(blocks))
-
-
-def concurrence_pure(psi: PureStateVector, side_a: Iterable[int]) -> float:
-    """Bipartite concurrence ``sqrt(2 (1 - tr rho_A^2))`` of a pure state.
-
-    ``side_a`` is a proper, non-empty subset of the sites (1-based).
-    """
-    schmidt_sq = _schmidt_spectrum(psi, side_a)
-    return float(math.sqrt(max(0.0, 2.0 * (1.0 - float(np.sum(schmidt_sq**2))))))
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -333,21 +323,6 @@ def oracle_pair_concurrence_sq(
     if not p_sites or not q_sites:
         return 0.0
     return gw_block_concurrence_oracle(psi, p_sites, q_sites) ** 2
-
-
-def pair_decomposition_residual(
-    psi: PureStateVector, partition: Partition, focus: int
-) -> float:
-    """``C^2(P_focus | rest) - sum_k C^2(P_focus, P_k)`` with all terms from the oracle.
-
-    ``focus`` is the 0-based index of the focus block.  For W-class vectors
-    the one-versus-rest squared concurrence decomposes exactly into the pair
-    terms, so the residual is zero up to round-off.
-    """
-    focus_block, others, rest = partition.split_focus(focus)
-    lhs = gw_block_concurrence_oracle(psi, focus_block, rest) ** 2
-    rhs = sum(gw_block_concurrence_oracle(psi, focus_block, b) ** 2 for b in others)
-    return float(lhs - rhs)
 
 
 def pair_source_comparison(cut: BlockCut) -> list[dict]:

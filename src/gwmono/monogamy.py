@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .concurrence import gw_block_concurrence_oracle
-from .states import GWState, Partition, reduce, to_state_vector
+from .states import GWState, Partition, _require_gw, reduce, to_state_vector
 from .unified import UEParams, g_qs, f_qs, in_region_r, ue_pure, unified_entropy
 
 #: Additive slack used when asserting margins; every quantity chains several
@@ -68,9 +68,6 @@ class MonogamyReport:
     @property
     def hypotheses_ok(self) -> bool:
         return all(h.ok for h in self.hypotheses)
-
-    def holds(self, tol: float = MARGIN_TOL) -> bool:
-        return self.margin >= -tol
 
     def to_dict(self) -> dict:
         return {
@@ -384,30 +381,6 @@ def chained_lower_bound(
     return bound, tuple(hypotheses)
 
 
-def chained_lower_bound_folded(
-    pair_ues: Sequence[float],
-    mus: Sequence[float],
-    hs: Sequence[float],
-    ps: Sequence[float],
-    k: int,
-    alpha: float,
-) -> float:
-    """Same bound built by folding the one-step form; structural identity check."""
-    pair = [float(u) for u in pair_ues]
-    r = len(pair) + 1
-    half = alpha / 2.0
-    gammas = [
-        (mus[t] + hs[t]) ** half - ps[t] ** (half - 1.0) * hs[t] ** half
-        for t in range(r - 2)
-    ]
-    acc = pair[r - 2] ** alpha
-    for t in range(r - 2, k, -1):
-        acc = gammas[t - 1] * pair[t - 1] ** alpha + ps[t - 1] ** (half - 1.0) * acc
-    for t in range(k, 0, -1):
-        acc = ps[t - 1] ** (half - 1.0) * pair[t - 1] ** alpha + gammas[t - 1] * acc
-    return acc
-
-
 def check_tightened(
     state: GWState,
     partition: Partition,
@@ -482,15 +455,16 @@ def _beta_report(
     ``X`` (``Y``) is the sum of the analytic pair values seen from site ``a``
     (``b``), each including the ``(a, b)`` pair itself, at ``q = 2``.
     """
-    hypotheses = [_s_hypothesis(s), _beta_hypothesis(beta)]
-    _require(hypotheses)
-    params = UEParams(q=2.0, s=s)
-    psi = to_state_vector(state)
-    n = psi.n_sites
+    _require_gw(state)
+    n = state.n
     if site_a == site_b or not (1 <= site_a <= n and 1 <= site_b <= n):
         raise ValueError(f"need two distinct sites in 1..{n}")
     if n < 3:
         raise ValueError("need at least one site outside the chosen pair")
+    hypotheses = [_s_hypothesis(s), _beta_hypothesis(beta)]
+    _require(hypotheses)
+    params = UEParams(q=2.0, s=s)
+    psi = to_state_vector(state)
     others = [c for c in range(1, n + 1) if c not in (site_a, site_b)]
     f_ab = f_qs(gw_block_concurrence_oracle(psi, (site_a,), (site_b,)), params)
     x_side = f_ab + sum(
@@ -524,37 +498,6 @@ def check_beta_upper_bound(
 ) -> MonogamyReport:
     """Fractional-power upper bound ``U^beta(rho_ab) <= X^beta + Y^beta`` at ``q = 2``."""
     return _beta_report(state, site_a, site_b, beta, s, upper=True)
-
-
-def power_difference_gap(x: float, h: float, p: float, m: float) -> float:
-    """Gap ``(1+x)^m - p^(m-1) x^m - (1+h)^m + p^(m-1) h^m``; non-negative on its domain.
-
-    Domain: ``x >= h >= 0``, ``m >= 1`` and ``1 <= p <= 1 + 1/x`` (any
-    ``p >= 1`` when ``x = 0``).
-    """
-    if not x >= h >= 0.0:
-        raise ValueError(f"need x >= h >= 0, got x={x}, h={h}")
-    if m < 1.0:
-        raise ValueError(f"need m >= 1, got {m}")
-    cap = math.inf if x == 0.0 else 1.0 + 1.0 / x
-    if not 1.0 <= p <= cap:
-        raise ValueError(f"need 1 <= p <= {cap}, got p={p}")
-    return (1.0 + x) ** m - p ** (m - 1.0) * x**m - (1.0 + h) ** m + p ** (m - 1.0) * h**m
-
-
-def fractional_power_gaps(x: float, y: float, beta: float) -> tuple[float, float]:
-    """Both fractional-power gaps for ``x >= y >= 0`` and ``0 <= beta <= 1``.
-
-    Returns ``((x-y)^beta - (x^beta - y^beta), x^beta + y^beta - (x+y)^beta)``;
-    each is non-negative on the stated domain.
-    """
-    if not x >= y >= 0.0:
-        raise ValueError(f"need x >= y >= 0, got x={x}, y={y}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"need beta in [0, 1], got {beta}")
-    diff_gap = (x - y) ** beta - (x**beta - y**beta)
-    sum_gap = x**beta + y**beta - (x + y) ** beta
-    return diff_gap, sum_gap
 
 
 def bound_comparison_series(

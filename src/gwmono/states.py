@@ -195,10 +195,6 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, ascending, clipped at zero."""
         return np.clip(np.linalg.eigvalsh(self.entries), 0.0, None)
@@ -322,10 +318,9 @@ def to_state_vector(state: GWState) -> PureStateVector:
     """
     _require_gw(state)
     n, d, p = state.n, state.d, state.vacuum_weight
-    size = d**n
-    if size > AMPLITUDE_CAP:
+    if d**n > AMPLITUDE_CAP:  # d**n itself may have too many digits to print
         raise ValueError(
-            f"dense vector would need {size} amplitudes, above the cap of {AMPLITUDE_CAP}"
+            f"dense vector would need {d}^{n} amplitudes, above the cap of {AMPLITUDE_CAP}"
         )
     amps = np.zeros((d,) * n, dtype=np.complex128)
     scale = math.sqrt(p)
@@ -377,11 +372,6 @@ def _schmidt_spectrum(psi: PureStateVector, side_a: Iterable[int]) -> np.ndarray
     if side[0] < 1 or side[-1] > n:
         raise ValueError(f"sites {side} out of range 1..{n}")
     return np.linalg.svd(_kept_by_traced(psi, [s - 1 for s in side]), compute_uv=False) ** 2
-
-
-def purity(rho: DensityMatrix) -> float:
-    """``tr(rho^2)``; equals the squared Frobenius norm for Hermitian input."""
-    return float(np.sum(np.abs(rho.entries) ** 2))
 
 
 def load_state_json(source: Union[str, Path, dict]) -> GWState:

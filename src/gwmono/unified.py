@@ -65,10 +65,6 @@ class UEParams:
         return "generic"
 
     @property
-    def in_region_r(self) -> bool:
-        return in_region_r(self)
-
-    @property
     def satisfies_basic_bounds(self) -> bool:
         """The plain validity bounds ``q >= 1``, ``0 <= s <= 1``, ``qs <= 3``."""
         return self.q >= 1.0 and 0.0 <= self.s <= 1.0 and self.q * self.s <= 3.0

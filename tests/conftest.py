@@ -1,4 +1,5 @@
 import math
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 import gwmono as gm
+from gwmono import DensityMatrix, Partition, PureStateVector, gw_block_concurrence_oracle
+from gwmono.states import _schmidt_spectrum
 
 # a larger example budget for tests that take theirs from the loaded profile
 # (tests/test_cli_contract.py); CI runs that file under it in a step of its own:
@@ -73,3 +76,91 @@ def state_payload(state):
         "coeffs": [[c.real, c.imag] for c in state.coeffs.ravel()],
         "vacuum_weight": state.vacuum_weight,
     }
+
+
+# Reference values that only the tests compare against: the library computes
+# none of them on any path of its own.
+
+
+def purity(rho: DensityMatrix) -> float:
+    """``tr(rho^2)``; equals the squared Frobenius norm for Hermitian input."""
+    return float(np.sum(np.abs(rho.entries) ** 2))
+
+
+def concurrence_pure(psi: PureStateVector, side_a: Iterable[int]) -> float:
+    """Bipartite concurrence ``sqrt(2 (1 - tr rho_A^2))`` of a pure state.
+
+    ``side_a`` is a proper, non-empty subset of the sites (1-based).
+    """
+    schmidt_sq = _schmidt_spectrum(psi, side_a)
+    return float(math.sqrt(max(0.0, 2.0 * (1.0 - float(np.sum(schmidt_sq**2))))))
+
+
+def pair_decomposition_residual(
+    psi: PureStateVector, partition: Partition, focus: int
+) -> float:
+    """``C^2(P_focus | rest) - sum_k C^2(P_focus, P_k)`` with all terms from the oracle.
+
+    ``focus`` is the 0-based index of the focus block.  For W-class vectors
+    the one-versus-rest squared concurrence decomposes exactly into the pair
+    terms, so the residual is zero up to round-off.
+    """
+    focus_block, others, rest = partition.split_focus(focus)
+    lhs = gw_block_concurrence_oracle(psi, focus_block, rest) ** 2
+    rhs = sum(gw_block_concurrence_oracle(psi, focus_block, b) ** 2 for b in others)
+    return float(lhs - rhs)
+
+
+def chained_lower_bound_folded(
+    pair_ues: Sequence[float],
+    mus: Sequence[float],
+    hs: Sequence[float],
+    ps: Sequence[float],
+    k: int,
+    alpha: float,
+) -> float:
+    """Same bound built by folding the one-step form; structural identity check."""
+    pair = [float(u) for u in pair_ues]
+    r = len(pair) + 1
+    half = alpha / 2.0
+    gammas = [
+        (mus[t] + hs[t]) ** half - ps[t] ** (half - 1.0) * hs[t] ** half
+        for t in range(r - 2)
+    ]
+    acc = pair[r - 2] ** alpha
+    for t in range(r - 2, k, -1):
+        acc = gammas[t - 1] * pair[t - 1] ** alpha + ps[t - 1] ** (half - 1.0) * acc
+    for t in range(k, 0, -1):
+        acc = ps[t - 1] ** (half - 1.0) * pair[t - 1] ** alpha + gammas[t - 1] * acc
+    return acc
+
+
+def power_difference_gap(x: float, h: float, p: float, m: float) -> float:
+    """Gap ``(1+x)^m - p^(m-1) x^m - (1+h)^m + p^(m-1) h^m``; non-negative on its domain.
+
+    Domain: ``x >= h >= 0``, ``m >= 1`` and ``1 <= p <= 1 + 1/x`` (any
+    ``p >= 1`` when ``x = 0``).
+    """
+    if not x >= h >= 0.0:
+        raise ValueError(f"need x >= h >= 0, got x={x}, h={h}")
+    if m < 1.0:
+        raise ValueError(f"need m >= 1, got {m}")
+    cap = math.inf if x == 0.0 else 1.0 + 1.0 / x
+    if not 1.0 <= p <= cap:
+        raise ValueError(f"need 1 <= p <= {cap}, got p={p}")
+    return (1.0 + x) ** m - p ** (m - 1.0) * x**m - (1.0 + h) ** m + p ** (m - 1.0) * h**m
+
+
+def fractional_power_gaps(x: float, y: float, beta: float) -> tuple[float, float]:
+    """Both fractional-power gaps for ``x >= y >= 0`` and ``0 <= beta <= 1``.
+
+    Returns ``((x-y)^beta - (x^beta - y^beta), x^beta + y^beta - (x+y)^beta)``;
+    each is non-negative on the stated domain.
+    """
+    if not x >= y >= 0.0:
+        raise ValueError(f"need x >= y >= 0, got x={x}, y={y}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"need beta in [0, 1], got {beta}")
+    diff_gap = (x - y) ** beta - (x**beta - y**beta)
+    sum_gap = x**beta + y**beta - (x + y) ** beta
+    return diff_gap, sum_gap

@@ -654,6 +654,31 @@ def test_empty_partition_is_refused(capsys):
     assert err == "input error: partition needs at least one block\n"
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (
+            ["check", "--ineq", "squared", "--preset", "example1", "--partition", "1;2;9"]
+            + ["--q", "50"],
+            "site 9 out of range 1..4",
+        ),
+        (
+            ["check", "--ineq", "beta-upper", "--preset", "example1", "--site-a", "9"]
+            + ["--s", "0.2"],
+            "need two distinct sites in 1..4",
+        ),
+    ],
+    ids=["partition", "beta"],
+)
+def test_out_of_range_site_is_an_input_error_before_any_refusal(capsys, argv, named):
+    # q = 50 leaves region R and s = 0.2 is below 1/2, so a hypothesis would also
+    # refuse; the site is read first, and a refusal (exit 3) would hide the bad input
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {named}\n"
+
+
 def test_partition_skips_blank_blocks(capsys):
     base = ["check", "--ineq", "squared", "--preset", "example1", "--q", "2"]
     assert run(base + ["--partition", "1;2;3"]) == 0

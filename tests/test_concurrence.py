@@ -16,7 +16,13 @@ from gwmono.concurrence import (
     _block_sites,
 )
 from gwmono.states import _excitation_slot, _kept_by_traced
-from conftest import gw_states, random_gw_state, random_partition
+from conftest import (
+    concurrence_pure,
+    gw_states,
+    pair_decomposition_residual,
+    random_gw_state,
+    random_partition,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -26,25 +32,25 @@ def bell_vector():
 
 
 def test_concurrence_pure_bell():
-    assert gm.concurrence_pure(bell_vector(), (1,)) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence_pure(bell_vector(), (1,)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concurrence_pure_top_cut_of_uniform_w():
     vec = gm.to_state_vector(gm.uniform_w_state(6))
-    c = gm.concurrence_pure(vec, (1, 2, 3, 4))
+    c = concurrence_pure(vec, (1, 2, 3, 4))
     assert c**2 == pytest.approx(8 / 9, abs=1e-12)
 
 
 def test_concurrence_pure_product_state():
     vec = gm.PureStateVector((2, 2), np.array([1.0, 0, 0, 0]))
-    assert gm.concurrence_pure(vec, (1,)) == 0.0
+    assert concurrence_pure(vec, (1,)) == 0.0
 
 
 def test_concurrence_pure_invalid_cut():
     with pytest.raises(ValueError):
-        gm.concurrence_pure(bell_vector(), (1, 2))
+        concurrence_pure(bell_vector(), (1, 2))
     with pytest.raises(ValueError):
-        gm.concurrence_pure(bell_vector(), ())
+        concurrence_pure(bell_vector(), ())
 
 
 def test_concurrence_pure_complement_symmetry():
@@ -55,8 +61,8 @@ def test_concurrence_pure_complement_symmetry():
         k = int(rng.integers(1, st.n))
         side = [int(s) for s in rng.choice(np.arange(1, st.n + 1), size=k, replace=False)]
         comp = [i for i in range(1, st.n + 1) if i not in side]
-        assert gm.concurrence_pure(vec, side) == pytest.approx(
-            gm.concurrence_pure(vec, comp), abs=1e-10
+        assert concurrence_pure(vec, side) == pytest.approx(
+            concurrence_pure(vec, comp), abs=1e-10
         )
 
 
@@ -97,7 +103,7 @@ def test_wootters_matches_pure_concurrence():
         vec = gm.PureStateVector((2, 2), amps)
         rho = gm.reduce(vec, (1, 2))
         assert abs(
-            gm.wootters_concurrence(rho) - gm.concurrence_pure(vec, (1,))
+            gm.wootters_concurrence(rho) - concurrence_pure(vec, (1,))
         ) < 1e-10
 
 
@@ -477,18 +483,18 @@ def test_printed_pair_values_are_squared_negativities():
 def test_pair_decomposition_residual_three_qubit():
     vec = gm.to_state_vector(gm.uniform_w_state(3))
     part = gm.Partition.singletons((1, 2, 3))
-    assert abs(gm.pair_decomposition_residual(vec, part, 0)) < 1e-9
+    assert abs(pair_decomposition_residual(vec, part, 0)) < 1e-9
 
 
 def test_pair_decomposition_residual_block_cut():
     vec = gm.to_state_vector(gm.uniform_w_state(6))
     part = BlockCut(6, 4, 2, 5).to_partition()
-    assert abs(gm.pair_decomposition_residual(vec, part, 0)) < 1e-9
+    assert abs(pair_decomposition_residual(vec, part, 0)) < 1e-9
 
 
 def test_pair_decomposition_residual_two_blocks(example1_vec):
     part = gm.Partition(((1,), (2, 3, 4)))
-    assert abs(gm.pair_decomposition_residual(example1_vec, part, 0)) < 1e-12
+    assert abs(pair_decomposition_residual(example1_vec, part, 0)) < 1e-12
 
 
 def test_pair_decomposition_residual_random():
@@ -498,7 +504,7 @@ def test_pair_decomposition_residual_random():
         vec = gm.to_state_vector(st)
         part = random_partition(rng, st.n)
         focus = int(rng.integers(0, part.r))
-        assert abs(gm.pair_decomposition_residual(vec, part, focus)) < 1e-8
+        assert abs(pair_decomposition_residual(vec, part, focus)) < 1e-8
 
 
 def test_pair_source_comparison_rows():

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 import gwmono as gm
 from gwmono.monogamy import Hypothesis, HypothesisNotMet
 from gwmono.unified import UEParams
-from conftest import gw_states, random_gw_state, random_partition
+from conftest import (
+    chained_lower_bound_folded,
+    fractional_power_gaps,
+    gw_states,
+    power_difference_gap,
+    random_gw_state,
+    random_partition,
+)
 
 P21 = UEParams(2.0, 1.0)
 
@@ -249,7 +256,7 @@ def test_chained_closed_form_matches_fold():
         closed, hyps = gm.chained_lower_bound(
             pair_ues, tails, kw["mus"], kw["hs"], kw["ps"], kw["k"], alpha
         )
-        folded = gm.chained_lower_bound_folded(
+        folded = chained_lower_bound_folded(
             pair_ues, kw["mus"], kw["hs"], kw["ps"], kw["k"], alpha
         )
         assert closed == pytest.approx(folded, abs=1e-12)
@@ -268,7 +275,7 @@ def test_chained_unit_factors_reduce_to_simple_weights():
     expected = pair[0] ** alpha + gamma**2 * pair[1] ** alpha + gamma * pair[2] ** alpha
     # the same value through the explicit fold
     assert closed == pytest.approx(
-        gm.chained_lower_bound_folded(pair, ones, ones, ones, 1, alpha), abs=1e-14
+        chained_lower_bound_folded(pair, ones, ones, ones, 1, alpha), abs=1e-14
     )
     assert closed == pytest.approx(expected, abs=1e-14)
 
@@ -362,28 +369,28 @@ def test_subadditivity_sandwich_on_reductions():
 
 
 def test_power_difference_gap_values():
-    assert gm.power_difference_gap(1.0, 1.0, 1.5, 3.0) == 0.0
-    assert gm.power_difference_gap(2.0, 1.0, 1.5, 3.0) == pytest.approx(3.25, abs=1e-12)
+    assert power_difference_gap(1.0, 1.0, 1.5, 3.0) == 0.0
+    assert power_difference_gap(2.0, 1.0, 1.5, 3.0) == pytest.approx(3.25, abs=1e-12)
     # p = 1 never needs the tightening correction
-    assert gm.power_difference_gap(2.0, 0.5, 1.0, 2.5) >= 0.0
+    assert power_difference_gap(2.0, 0.5, 1.0, 2.5) >= 0.0
     with pytest.raises(ValueError):
-        gm.power_difference_gap(1.0, 2.0, 1.0, 2.0)
+        power_difference_gap(1.0, 2.0, 1.0, 2.0)
     with pytest.raises(ValueError):
-        gm.power_difference_gap(2.0, 1.0, 1.6, 2.0)  # p above 1 + 1/x
+        power_difference_gap(2.0, 1.0, 1.6, 2.0)  # p above 1 + 1/x
 
 
 def test_fractional_power_gaps_values():
-    assert gm.fractional_power_gaps(3.0, 0.0, 0.7) == (0.0, 0.0)
-    g1, g2 = gm.fractional_power_gaps(5.0, 2.0, 1.0)
+    assert fractional_power_gaps(3.0, 0.0, 0.7) == (0.0, 0.0)
+    g1, g2 = fractional_power_gaps(5.0, 2.0, 1.0)
     assert g1 == pytest.approx(0.0, abs=1e-14)
     assert g2 == pytest.approx(0.0, abs=1e-14)
-    g1, g2 = gm.fractional_power_gaps(4.0, 1.0, 0.5)
+    g1, g2 = fractional_power_gaps(4.0, 1.0, 0.5)
     assert g1 == pytest.approx(math.sqrt(3) - 1, abs=1e-12)
     assert g2 == pytest.approx(3 - math.sqrt(5), abs=1e-12)
     with pytest.raises(ValueError):
-        gm.fractional_power_gaps(1.0, 2.0, 0.5)
+        fractional_power_gaps(1.0, 2.0, 0.5)
     with pytest.raises(ValueError):
-        gm.fractional_power_gaps(2.0, 1.0, 1.2)
+        fractional_power_gaps(2.0, 1.0, 1.2)
 
 
 def test_scalar_gaps_mini_fuzz():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import gwmono as gm
-from conftest import gw_states, random_gw_state, state_payload
+from conftest import gw_states, purity, random_gw_state, state_payload
 
 
 def test_make_gw_state_uniform_six():
@@ -144,6 +144,9 @@ def test_to_state_vector_positions(example1):
 def test_to_state_vector_size_cap(monkeypatch):
     with pytest.raises(ValueError, match="cap of 16777216"):
         gm.to_state_vector(gm.uniform_w_state(25))
+    # 2**20000 has more digits than int-to-str conversion allows
+    with pytest.raises(ValueError, match=r"need 2\^20000 amplitudes, above the cap of 16777216"):
+        gm.to_state_vector(gm.uniform_w_state(20000))
     monkeypatch.setattr(gm.states, "AMPLITUDE_CAP", 2**10)
     assert gm.to_state_vector(gm.uniform_w_state(10)).amps.size == 2**10
     with pytest.raises(ValueError, match="cap of 1024"):
@@ -183,11 +186,11 @@ def test_reduce_errors(example1_vec):
 
 
 def test_purity_values(example1_vec):
-    assert gm.purity(gm.reduce(example1_vec, (1, 2, 3, 4))) == pytest.approx(1.0, abs=1e-12)
+    assert purity(gm.reduce(example1_vec, (1, 2, 3, 4))) == pytest.approx(1.0, abs=1e-12)
     rho = gm.reduce(gm.to_state_vector(gm.uniform_w_state(3)), (1,))
-    assert gm.purity(rho) == pytest.approx(5 / 9, abs=1e-12)
+    assert purity(rho) == pytest.approx(5 / 9, abs=1e-12)
     mixed = gm.DensityMatrix((2,), np.eye(2) / 2)
-    assert gm.purity(mixed) == pytest.approx(0.5, abs=1e-15)
+    assert purity(mixed) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_reduce_properties_random():
@@ -202,7 +205,7 @@ def test_reduce_properties_random():
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
         comp = [i for i in range(1, n + 1) if i not in keep]
         if comp:
-            assert gm.purity(rho) == pytest.approx(gm.purity(gm.reduce(vec, comp)), abs=1e-10)
+            assert purity(rho) == pytest.approx(purity(gm.reduce(vec, comp)), abs=1e-10)
 
 
 def test_proper_reductions_have_rank_two():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import gwmono as gm
 from gwmono import unified
 from gwmono.unified import UEParams, _decomposition_values, _entropy_rows, _orthonormal
-from conftest import random_gw_state
+from conftest import concurrence_pure, random_gw_state
 
 P21 = UEParams(2.0, 1.0)
 
@@ -113,7 +113,7 @@ def test_ue_pure_matches_f_of_concurrence():
         k = int(rng.integers(1, st.n))
         side = [int(s) for s in rng.choice(np.arange(1, st.n + 1), size=k, replace=False)]
         params = REGION_GRID[int(rng.integers(0, len(REGION_GRID)))]
-        c = gm.concurrence_pure(vec, side)
+        c = concurrence_pure(vec, side)
         assert abs(gm.ue_pure(vec, side, params) - gm.f_qs(c, params)) <= 1e-10
 
 
@@ -499,7 +499,7 @@ def test_roof_matches_analytic_map_tightly_inside_region_r():
         if c < 1e-2:
             continue
         params = UEParams(*grid[solved % len(grid)])
-        assert params.in_region_r
+        assert gm.in_region_r(params)
         rho = gm.reduce(gm.to_state_vector(state), sites)
         roof = gm.convex_roof_ue_rank2(rho, params, rng=int(rng.integers(0, 2**31)))
         assert abs(roof - gm.f_qs(c, params)) <= 1e-13
